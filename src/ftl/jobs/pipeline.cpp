@@ -60,6 +60,9 @@ Artifact tcad_sweep_job(tcad::DeviceShape shape, tcad::GateDielectric diel,
   const tcad::BiasCase dsss = tcad::parse_bias_case("DSSS");
   const tcad::SweepSetups sweeps = tcad::run_paper_setups(
       solver, dsss, sweep_vg_min(shape, diel), 5.0, options.sweep_points);
+  for (const tcad::IvCurve* curve : {&sweeps.idvg_low, &sweeps.idvg_high, &sweeps.idvd}) {
+    tcad::require_converged(*curve);
+  }
   Artifact out;
   out.set_columns({"setup", "v", "i_t1", "i_t2", "i_t3", "i_t4"});
   append_curve(out, 0, sweeps.idvg_low);
@@ -70,6 +73,9 @@ Artifact tcad_sweep_job(tcad::DeviceShape shape, tcad::GateDielectric diel,
   ctx.counter("solver_passes", sweeps.idvg_low.solver_passes +
                                    sweeps.idvg_high.solver_passes +
                                    sweeps.idvd.solver_passes);
+  ctx.counter("cg_iterations", sweeps.idvg_low.cg_iterations +
+                                   sweeps.idvg_high.cg_iterations +
+                                   sweeps.idvd.cg_iterations);
   return out;
 }
 
@@ -176,6 +182,8 @@ Artifact fit_sweep_job(const std::string& bias_name,
   const tcad::BiasCase bias = tcad::parse_bias_case(bias_name);
   const fit::FitSweepData data =
       fit::paper_fit_sweeps(solver, bias, options.sweep_points);
+  tcad::require_converged(data.idvg);
+  tcad::require_converged(data.idvd);
   Artifact out;
   out.set_columns({"leg", "vgs", "vds", "ids"});
   const linalg::Vector ig = data.idvg.terminal_magnitude(data.drain);
@@ -189,6 +197,8 @@ Artifact fit_sweep_job(const std::string& bias_name,
   out.notes["bias"] = bias_name;
   ctx.counter("solver_passes",
               data.idvg.solver_passes + data.idvd.solver_passes);
+  ctx.counter("cg_iterations",
+              data.idvg.cg_iterations + data.idvd.cg_iterations);
   return out;
 }
 

@@ -17,8 +17,10 @@
 
 #include <array>
 #include <optional>
+#include <utility>
+#include <vector>
 
-#include "ftl/linalg/matrix.hpp"
+#include "ftl/linalg/sparse.hpp"
 #include "ftl/tcad/charge_sheet.hpp"
 #include "ftl/tcad/mesh.hpp"
 
@@ -41,6 +43,10 @@ struct SolveResult {
   /// terminal from the external source). Floating terminals read 0.
   std::array<double, 4> terminal_current{};
   int nonlinear_iterations = 0;
+  /// CG iterations spent by both blocks over all passes (0 on kSparseLu).
+  int cg_iterations = 0;
+  /// True when a pass met voltage_tol with every linear solve of that pass
+  /// converged. A CG give-up never ends the iteration as converged.
   bool converged = false;
 };
 
@@ -50,9 +56,10 @@ struct SolveResult {
 /// pass) and the V-block keeps one sparsity pattern while its interface
 /// linearization moves (numeric refactor per pass). kCg stays the default
 /// because these mesh Laplacians are SPD and warm-started Jacobi-CG beats
-/// a natural-order factorization's fill-in at paper mesh sizes (48x48,
-/// n ~ 2300); the direct backend exists for differential testing and for
-/// meshes/materials that leave CG poorly conditioned.
+/// a natural-order factorization's fill-in at paper mesh sizes (the 48x48
+/// mesh has 2304 cells, 1184 of them active; a block holds ~400 gated or
+/// ~390 conductor unknowns); the direct backend exists for differential
+/// testing and for meshes/materials that leave CG poorly conditioned.
 enum class LinearBackend { kCg, kSparseLu };
 
 struct SolverOptions {
@@ -61,7 +68,10 @@ struct SolverOptions {
   LinearBackend backend = LinearBackend::kCg;
 };
 
-/// Solves bias points on a fixed device mesh.
+/// Solves bias points on a fixed device mesh. Everything that depends on
+/// the mesh alone (edges, gated numbering, the constant u-block and its
+/// Jacobi preconditioner) is built once by the constructor; solve() builds
+/// the V-block pattern once per call and only rewrites its values per pass.
 class NetworkSolver {
  public:
   NetworkSolver(DeviceMesh mesh, ChargeSheetModel model);
@@ -76,8 +86,21 @@ class NetworkSolver {
                     const SolverOptions& options = {}) const;
 
  private:
+  struct Edge {
+    int a;
+    int b;
+    bool horizontal;
+  };
+
   DeviceMesh mesh_;
   ChargeSheetModel model_;
+  std::vector<Edge> edges_;       ///< active neighbour pairs, row-major order
+  std::vector<int> gated_index_;  ///< cell -> u unknown, or -1
+  std::vector<int> gated_cells_;  ///< u unknown -> cell
+  /// Gated-to-conductor edges in edge order: (u unknown, conductor cell).
+  std::vector<std::pair<int, int>> u_boundary_;
+  linalg::SparseMatrix u_matrix_;  ///< u-space Laplace block (constant)
+  linalg::Vector u_inv_diag_;      ///< its Jacobi preconditioner
 };
 
 }  // namespace ftl::tcad

@@ -1,6 +1,7 @@
 #include "ftl/tcad/sweep.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "ftl/util/error.hpp"
 #include "ftl/util/thread_pool.hpp"
@@ -26,6 +27,32 @@ linalg::Vector IvCurve::drain_current(const BiasCase& bias) const {
   return out;
 }
 
+SweepNotConverged::SweepNotConverged(const std::string& label,
+                                     int unconverged_points, int points)
+    : Error("TCAD sweep '" + label + "': " + std::to_string(unconverged_points) +
+            " of " + std::to_string(points) + " points did not converge"),
+      unconverged_points_(unconverged_points) {}
+
+void require_converged(const IvCurve& curve) {
+  if (curve.unconverged_points > 0) {
+    throw SweepNotConverged(curve.label, curve.unconverged_points,
+                            static_cast<int>(curve.sweep_values.size()));
+  }
+}
+
+namespace {
+
+// Records one solved sweep point and carries its voltages to the next.
+void record_point(IvCurve& curve, SolveResult&& r, linalg::Vector& warm) {
+  curve.terminal_currents.push_back(r.terminal_current);
+  curve.solver_passes += r.nonlinear_iterations;
+  curve.cg_iterations += r.cg_iterations;
+  if (!r.converged) ++curve.unconverged_points;
+  warm = std::move(r.node_voltage);
+}
+
+}  // namespace
+
 IvCurve sweep_gate(const NetworkSolver& solver, const BiasCase& bias,
                    double vds, double vg_first, double vg_last, int points) {
   FTL_EXPECTS(points >= 2);
@@ -36,10 +63,7 @@ IvCurve sweep_gate(const NetworkSolver& solver, const BiasCase& bias,
   linalg::Vector warm;
   for (double vg : curve.sweep_values) {
     BiasPoint p = bias.at(vg, vds);
-    const SolveResult r = solver.solve(p, warm.empty() ? nullptr : &warm);
-    warm = r.node_voltage;
-    curve.terminal_currents.push_back(r.terminal_current);
-    curve.solver_passes += r.nonlinear_iterations;
+    record_point(curve, solver.solve(p, warm.empty() ? nullptr : &warm), warm);
   }
   return curve;
 }
@@ -54,10 +78,7 @@ IvCurve sweep_drain(const NetworkSolver& solver, const BiasCase& bias,
   linalg::Vector warm;
   for (double vd : curve.sweep_values) {
     BiasPoint p = bias.at(vgs, vd);
-    const SolveResult r = solver.solve(p, warm.empty() ? nullptr : &warm);
-    warm = r.node_voltage;
-    curve.terminal_currents.push_back(r.terminal_current);
-    curve.solver_passes += r.nonlinear_iterations;
+    record_point(curve, solver.solve(p, warm.empty() ? nullptr : &warm), warm);
   }
   return curve;
 }

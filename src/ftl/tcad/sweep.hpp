@@ -11,6 +11,7 @@
 
 #include "ftl/tcad/bias.hpp"
 #include "ftl/tcad/network_solver.hpp"
+#include "ftl/util/error.hpp"
 
 namespace ftl::tcad {
 
@@ -23,6 +24,12 @@ struct IvCurve {
   /// Total nonlinear block-iteration passes spent across the sweep — the
   /// solver-cost counter the jobs telemetry surfaces per TCAD job.
   int solver_passes = 0;
+  /// Total CG iterations across the sweep (both blocks, every pass).
+  int cg_iterations = 0;
+  /// Sweep points whose block iteration spent its pass budget without
+  /// converging (a pass whose CG solve gave up never counts as converged).
+  /// Nonzero means the currents are not trustworthy.
+  int unconverged_points = 0;
 
   /// |I| of one terminal along the sweep.
   linalg::Vector terminal_magnitude(int terminal) const;
@@ -30,6 +37,19 @@ struct IvCurve {
   /// Total drain current (sum of currents at drain-role terminals).
   linalg::Vector drain_current(const BiasCase& bias) const;
 };
+
+/// Thrown by require_converged when a sweep has unconverged points.
+class SweepNotConverged : public ftl::Error {
+ public:
+  SweepNotConverged(const std::string& label, int unconverged_points, int points);
+  int unconverged_points() const { return unconverged_points_; }
+
+ private:
+  int unconverged_points_ = 0;
+};
+
+/// Throws SweepNotConverged when `curve` has any unconverged point.
+void require_converged(const IvCurve& curve);
 
 struct SweepSetups {
   IvCurve idvg_low;   ///< IDS-VGS, VDS = 10 mV

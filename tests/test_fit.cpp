@@ -3,8 +3,13 @@
 // TCAD -> fit pipeline.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include "ftl/fit/extract.hpp"
 #include "ftl/fit/mosfet_level1.hpp"
@@ -190,6 +195,89 @@ TEST(FitPipeline, ExtractsPositiveThresholdFromSquareDevice) {
   EXPECT_GE(fit.params.vth, 0.0);  // the switch must turn off at Vgs = 0
   EXPECT_LT(fit.params.vth, 1.0);
   EXPECT_GE(fit.params.lambda, 0.0);
+}
+
+// ---- the §IV sweep data, pinned ---------------------------------------------
+
+ftl::tcad::NetworkSolver square_hfo2(int cells) {
+  const auto spec = ftl::tcad::make_device(ftl::tcad::DeviceShape::kSquare,
+                                           ftl::tcad::GateDielectric::kHfO2);
+  return ftl::tcad::NetworkSolver(ftl::tcad::build_mesh(spec, cells),
+                                  ftl::tcad::ChargeSheetModel(spec));
+}
+
+void expect_curve_bits(const ftl::tcad::IvCurve& curve,
+                       const std::vector<std::array<std::uint64_t, 4>>& want) {
+  ASSERT_EQ(curve.terminal_currents.size(), want.size()) << curve.label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    for (std::size_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(curve.terminal_currents[i][t]), want[i][t])
+          << curve.label << " point " << i << " T" << t + 1;
+    }
+  }
+}
+
+TEST(FitSweeps, DsffMesh12GoldenCurrents) {
+  // The DSFF fit sweeps at the benchmark's tiny size (mesh 12, 9 points),
+  // every terminal current pinned to the bit: a kernel change that drifts
+  // one ulp anywhere in the TCAD stage fails here, not only in the
+  // benchmark's artifact digests.
+  const FitSweepData data =
+      paper_fit_sweeps(square_hfo2(12), ftl::tcad::parse_bias_case("DSFF"), 9);
+  EXPECT_EQ(data.drain, 0);
+  EXPECT_EQ(data.idvg.solver_passes, 343);
+  EXPECT_EQ(data.idvd.solver_passes, 302);
+  EXPECT_EQ(data.idvg.unconverged_points, 0);
+  EXPECT_EQ(data.idvd.unconverged_points, 0);
+  EXPECT_GT(data.idvg.cg_iterations, data.idvg.solver_passes);
+  expect_curve_bits(data.idvg, {
+      {0x3e1975fead812219ULL, 0xbdf358440a9a2de6ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3ee89af9d6ba1db2ULL, 0xbee89a403d4fcab7ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f1096acfbae22dcULL, 0xbf109693779cdd6aULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f23eb4db440a7d1ULL, 0xbf23eb3fcfa9cfd2ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f31f3b1bc2476dfULL, 0xbf31f3aa3dafe0d9ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f3be86524898a42ULL, 0xbf3be85d1e73c6ccULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f43d21b5330f774ULL, 0xbf43d2171017e9d4ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f4a7f068cb1173eULL, 0xbf4a7f020b5c1bbeULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f50f4885df180faULL, 0xbf50f485feef7085ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+  });
+  expect_curve_bits(data.idvd, {
+      {0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f2da8bdcc9cc516ULL, 0xbf2da8b09cd154c1ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f3c2e68f837b8adULL, 0xbf3c2e6253b48c2dULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f43f52c4e72ec6bULL, 0xbf43f528294fee78ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f48ef874c2ca86fULL, 0xbf48ef8350aac216ULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f4cee803284e455ULL, 0xbf4cee7baa2d738eULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f4fd6649dc7ae59ULL, 0xbf4fd6609057a70cULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f50c3590d091817ULL, 0xbf50c356cc5bc14aULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+      {0x3f50f488676c1fd3ULL, 0xbf50f485f5713c0cULL, 0x0000000000000000ULL, 0x0000000000000000ULL},
+  });
+}
+
+bool same_bytes(const ftl::tcad::IvCurve& a, const ftl::tcad::IvCurve& b) {
+  return a.label == b.label && a.sweep_variable == b.sweep_variable &&
+         a.sweep_values.size() == b.sweep_values.size() &&
+         std::memcmp(a.sweep_values.data(), b.sweep_values.data(),
+                     a.sweep_values.size() * sizeof(double)) == 0 &&
+         a.terminal_currents.size() == b.terminal_currents.size() &&
+         std::memcmp(a.terminal_currents.data(), b.terminal_currents.data(),
+                     a.terminal_currents.size() * sizeof(a.terminal_currents[0])) == 0 &&
+         a.solver_passes == b.solver_passes && a.cg_iterations == b.cg_iterations &&
+         a.unconverged_points == b.unconverged_points;
+}
+
+TEST(FitSweeps, ParallelLegsMatchSerialSweeps) {
+  // paper_fit_sweeps runs its two legs concurrently over one const solver;
+  // the result must be byte-identical to running them one after the other.
+  const ftl::tcad::NetworkSolver solver = square_hfo2(12);
+  for (const char* name : {"DSFF", "SFDF"}) {
+    const ftl::tcad::BiasCase bias = ftl::tcad::parse_bias_case(name);
+    const FitSweepData parallel = paper_fit_sweeps(solver, bias, 9);
+    const ftl::tcad::IvCurve idvg = ftl::tcad::sweep_gate(solver, bias, 5.0, 0.0, 5.0, 9);
+    const ftl::tcad::IvCurve idvd = ftl::tcad::sweep_drain(solver, bias, 5.0, 0.0, 5.0, 9);
+    EXPECT_TRUE(same_bytes(parallel.idvg, idvg)) << name;
+    EXPECT_TRUE(same_bytes(parallel.idvd, idvd)) << name;
+  }
 }
 
 }  // namespace

@@ -98,6 +98,28 @@ TEST(PaperPipeline, Fig12BranchRunsColdThenFullyWarm) {
             artifact->serialize());
 }
 
+TEST(PaperPipeline, TcadJobsReportCgIterationsBesideSolverPasses) {
+  const jobs::PaperPipeline p = jobs::build_paper_pipeline(quick_options());
+  jobs::CaptureSink sink;
+  jobs::RunOptions options;
+  options.use_cache = false;
+  options.sink = &sink;
+  options.targets = jobs::resolve_targets(p, {"tcad_square_hfo2", "tcad_fit_dsff"});
+  const jobs::RunResult run = jobs::run_graph(p.graph, options);
+  ASSERT_TRUE(run.ok());
+  int finishes = 0;
+  for (const jobs::Event& e : sink.events()) {
+    if (e.type != "job_finish") continue;
+    ++finishes;
+    ASSERT_EQ(e.counters.count("solver_passes"), 1u) << e.job;
+    ASSERT_EQ(e.counters.count("cg_iterations"), 1u) << e.job;
+    EXPECT_GT(e.counters.at("solver_passes"), 0.0) << e.job;
+    EXPECT_GT(e.counters.at("cg_iterations"), e.counters.at("solver_passes")) << e.job;
+    EXPECT_NE(jobs::to_json(e).find("\"cg_iterations\""), std::string::npos);
+  }
+  EXPECT_EQ(finishes, 2);
+}
+
 TEST(PaperPipeline, CalibrationDigestIsStableWithinAProcess) {
   EXPECT_EQ(jobs::calibration_digest(), jobs::calibration_digest());
   EXPECT_NE(jobs::calibration_digest(), 0u);

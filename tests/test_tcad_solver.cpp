@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ftl/tcad/bias.hpp"
 #include "ftl/tcad/current_density.hpp"
@@ -191,6 +192,52 @@ TEST(Solver, WarmStartReproducesTheSameAnswer) {
   EXPECT_NEAR(warm.terminal_current[0], cold.terminal_current[0],
               1e-5 * std::fabs(cold.terminal_current[0]));
   EXPECT_LE(warm.nonlinear_iterations, cold.nonlinear_iterations);
+}
+
+TEST(Solver, ReportsCgIterationsOnTheCgBackendOnly) {
+  const NetworkSolver solver = make_solver(DeviceShape::kSquare, GateDielectric::kHfO2, 16);
+  const BiasPoint bias = parse_bias_case("DSFF").at(5.0, 5.0);
+  const SolveResult cg = solver.solve(bias);
+  ASSERT_TRUE(cg.converged);
+  // Two block solves per pass, each at least one iteration.
+  EXPECT_GE(cg.cg_iterations, 2 * cg.nonlinear_iterations);
+  SolverOptions lu_opts;
+  lu_opts.backend = LinearBackend::kSparseLu;
+  EXPECT_EQ(solver.solve(bias, nullptr, lu_opts).cg_iterations, 0);
+}
+
+TEST(Solver, ExhaustedPassBudgetIsNotConverged) {
+  const NetworkSolver solver = make_solver(DeviceShape::kSquare, GateDielectric::kHfO2, 16);
+  SolverOptions opts;
+  opts.max_passes = 1;
+  const SolveResult r = solver.solve(parse_bias_case("DSSS").at(5.0, 5.0), nullptr, opts);
+  EXPECT_EQ(r.nonlinear_iterations, 1);
+  EXPECT_FALSE(r.converged);
+}
+
+TEST(Sweep, CountsPassesIterationsAndUnconvergedPoints) {
+  const NetworkSolver solver = make_solver(DeviceShape::kSquare, GateDielectric::kHfO2, 16);
+  const IvCurve c = sweep_drain(solver, parse_bias_case("DSSS"), 5.0, 0.0, 5.0, 4);
+  EXPECT_EQ(c.unconverged_points, 0);
+  EXPECT_GT(c.solver_passes, 0);
+  EXPECT_GT(c.cg_iterations, c.solver_passes);
+  EXPECT_NO_THROW(require_converged(c));
+}
+
+TEST(Sweep, RequireConvergedThrowsTypedError) {
+  IvCurve c;
+  c.label = "DSFF Id-Vd";
+  c.sweep_values = {0.0, 1.0, 2.0};
+  c.unconverged_points = 2;
+  try {
+    require_converged(c);
+    FAIL() << "expected SweepNotConverged";
+  } catch (const SweepNotConverged& e) {
+    EXPECT_EQ(e.unconverged_points(), 2);
+    EXPECT_NE(std::string(e.what()).find("2 of 3 points"), std::string::npos);
+  }
+  // It is an ftl::Error, so the jobs scheduler records it as a job failure.
+  EXPECT_THROW(require_converged(c), ftl::Error);
 }
 
 TEST(Sweep, GateSweepIsMonotone) {
