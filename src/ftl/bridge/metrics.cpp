@@ -29,7 +29,7 @@ GateMetrics measure_gate(const GateBuilder& build, const logic::TruthTable& f,
   m.switch_count = switch_count;
 
   // ---- Static characterization: one DC operating point per code ----------
-  // All 2^n bias cases run as lanes of one BatchSolver over a single built
+  // All 2^n bias cases run as lanes of one dcop_batch over a single built
   // circuit: one symbolic LU analysis, retuned input drives per lane —
   // bitwise identical to building and solving each code standalone.
   m.functional = true;

@@ -119,7 +119,7 @@ void run_per_trial(const lattice::Lattice& lattice,
 /// One worker's contiguous trial chunk through the batched engine: ONE
 /// netlist build for the whole chunk, retuned in place per trial, with all
 /// still-passing trials of the chunk solved as lanes of one
-/// spice::BatchSolver per input code — one symbolic LU analysis amortized
+/// spice::dcop_batch call per input code — one symbolic LU analysis amortized
 /// across the population instead of one per (trial, code, Newton rebuild).
 void run_batched_chunk(const lattice::Lattice& lattice,
                        const logic::TruthTable& target,
@@ -253,7 +253,7 @@ void run_batched(const lattice::Lattice& lattice,
                  const VariabilityOptions& options,
                  std::vector<TrialOutcome>& outcomes) {
   // Threads split the batch, never a trial: one contiguous chunk of trials
-  // per worker, each chunk with its own shared circuit and BatchSolver.
+  // per worker, each chunk with its own shared circuit and dcop_batch calls.
   // Chunk boundaries cannot affect results — every trial's outcome is a
   // pure function of its own matrices — so any worker count reduces to the
   // same answer, exactly like the per-trial engine's schedule independence.

@@ -19,7 +19,7 @@ namespace ftl::bridge {
 /// bench_spice_batch gate compare against.
 enum class VariabilityEngine {
   /// One shared circuit per worker chunk, retuned in place per trial, all
-  /// trials of a chunk solved through one spice::BatchSolver per input code
+  /// trials of a chunk solved through one spice::dcop_batch call per input code
   /// (one symbolic LU analysis amortized across the population).
   kBatched,
   /// The PR 1 path: a fresh netlist build and standalone

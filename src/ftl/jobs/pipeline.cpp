@@ -421,7 +421,7 @@ Artifact fig12b_job(const PipelineOptions& pipeline_options, JobContext& ctx) {
 
 // sweep_batch: the batched-corner engine as a pipeline stage. Runs the §V
 // Monte-Carlo yield of the XOR3 bench (all trials of a worker chunk solved
-// as lanes of one BatchSolver per input code) plus a Fig. 12 chain supply
+// as lanes of one dcop_batch call per input code) plus a Fig. 12 chain supply
 // sweep through chain_current_batch, and folds the engine's batch_core
 // counter deltas into the job telemetry.
 Artifact sweep_batch_job(const PipelineOptions& pipeline_options,

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -100,6 +101,40 @@ int require_int(const JsonValue& req, std::string_view key, int min_value,
                 "]");
   }
   return static_cast<int>(raw);
+}
+
+/// Optional number `key` (`fallback` when absent), checked before any
+/// conversion: casting a NaN, an infinity (the parser reads 1e400 as inf)
+/// or an out-of-range double to an integer or a duration is undefined.
+/// Throws ftl::Error, answered as bad_request, unless lo <= value <= hi
+/// and, when `integral`, the value is whole; `expected` says what is valid.
+double checked_number_or(const JsonValue& req, std::string_view key,
+                         double fallback, double lo, double hi, bool integral,
+                         std::string_view expected) {
+  const double v = req.number_or(key, fallback);
+  if (!(v >= lo && v <= hi) || (integral && v != std::floor(v))) {
+    throw Error("field '" + std::string(key) + "' must be " +
+                std::string(expected));
+  }
+  return v;
+}
+
+/// The search seed of synth, synth_sat, sweep_batch and explore. Up to 2^53
+/// every integer is exact in a JSON number, so no two seeds alias.
+std::uint64_t seed_or_default(const JsonValue& req) {
+  return static_cast<std::uint64_t>(checked_number_or(
+      req, "seed", 1.0, 0.0, 9007199254740992.0, true,
+      "an integer in [0, 2^53]"));
+}
+
+/// The request's budget, anchored at `start`. A value <= 0 (the default)
+/// means no deadline; the cap (~11.6 days) keeps the duration arithmetic in
+/// range.
+Deadline deadline_from(const JsonValue& req, Clock::time_point start) {
+  return Deadline(checked_number_or(req, "deadline_ms", 0.0,
+                                    std::numeric_limits<double>::lowest(), 1e9,
+                                    false, "a finite number of ms <= 1e9"),
+                  start);
 }
 
 std::vector<std::string> string_array_or(const JsonValue& req,
@@ -275,8 +310,7 @@ JsonValue handle_synth(const JsonValue& req, const Deadline& deadline,
         method == "exhaustive" ? Engine::kExhaustive : Engine::kLocalSearch;
     synth_req.rows = require_int(req, "rows", 1, 8);
     synth_req.cols = require_int(req, "cols", 1, 8);
-    synth_req.search.seed =
-        static_cast<std::uint64_t>(req.number_or("seed", 1.0));
+    synth_req.search.seed = seed_or_default(req);
     seed = synth_req.search.seed;
   } else {
     throw Error("unknown method '" + method +
@@ -330,7 +364,7 @@ JsonValue handle_synth_sat(const JsonValue& req, const Deadline& deadline,
   synth_req.rows = require_int(req, "rows", 1, 8);
   synth_req.cols = require_int(req, "cols", 1, 8);
   synth_req.var_names = parsed.var_names;
-  synth_req.sat.seed = static_cast<std::uint64_t>(req.number_or("seed", 1.0));
+  synth_req.sat.seed = seed_or_default(req);
   synth_req.sat.allow_constants = req.bool_or("constants", true);
   const double budget = req.number_or("max_conflicts", 2e6);
   if (!(budget >= 0.0) || budget > 9e18) {
@@ -488,7 +522,7 @@ JsonValue handle_metrics(const JsonValue& req, const Deadline& deadline) {
 
 // sweep_batch: the batched corner/variability engine as a service op — a
 // Monte-Carlo yield sweep of the requested lattice through
-// bridge::monte_carlo_yield's BatchSolver path. Deterministic for fixed
+// bridge::monte_carlo_yield's dcop_batch path. Deterministic for fixed
 // parameters at ANY worker count (lanes reduce in trial order; threads
 // split the batch, never a trial), so it is a pure, cacheable op; the
 // engine's process-wide counters surface in `stats` as batch_core.
@@ -507,7 +541,7 @@ JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
       options.sigma_vth > 10.0 || options.sigma_kp_rel > 10.0) {
     throw Error("'sigma_vth'/'sigma_kp_rel' must be in [0, 10]");
   }
-  options.seed = static_cast<std::uint64_t>(req.number_or("seed", 1.0));
+  options.seed = seed_or_default(req);
   options.max_threads = req.find("workers") != nullptr
                             ? require_int(req, "workers", 0, 4096)
                             : 0;
@@ -555,7 +589,7 @@ JsonValue handle_explore(const JsonValue& req, const Deadline& deadline,
   options.max_search_cells = req.find("max_cells") != nullptr
                                  ? require_int(req, "max_cells", 1, 16)
                                  : options.max_search_cells;
-  options.search_seed = static_cast<std::uint64_t>(req.number_or("seed", 1.0));
+  options.search_seed = seed_or_default(req);
   options.measure = measure_options_from(req);
   if (lib != nullptr) {
     // Feed the best-known class lattice (relabeled and verified by
@@ -944,7 +978,7 @@ struct Service::Impl {
     spice_core.set("dense_solves", get_u64(spc.dense_solves));
     body.set("spice_core", std::move(spice_core));
     // Batched-corner engine counters (process-wide, monotonic), flushed
-    // once per BatchSolver::solve. symbolic_reuses / (symbolic_factors +
+    // once per dcop_batch call. symbolic_reuses / (symbolic_factors +
     // symbolic_reuses) is the headline amortization ratio; lane_fallbacks
     // counts corners whose pivot order drifted off the shared analysis.
     // Driven by the sweep_batch and metrics ops.
@@ -1197,7 +1231,7 @@ std::string Service::handle_now(const std::string& line) {
   Deadline deadline;
   Impl::Executed done;
   try {
-    deadline = Deadline(req.number_or("deadline_ms", 0.0), t_start);
+    deadline = deadline_from(req, t_start);
   } catch (const Error& e) {
     done.response = splice_id(
         req.find("id"),
@@ -1256,7 +1290,7 @@ void Service::submit_async(std::string line,
     if (!req->is_object()) throw Error("request must be a JSON object");
     op = req->string_or("op", "?");
     id = req->find("id");
-    deadline = Deadline(req->number_or("deadline_ms", 0.0), t_submit);
+    deadline = deadline_from(*req, t_submit);
   } catch (const std::exception& e) {
     Impl::Executed bad;
     bad.response = splice_id(id, make_error_body(op, "bad_request", e.what()));

@@ -3,27 +3,28 @@
 // corners, ONE symbolic sparse-LU analysis. The caller supplies a mutator
 // that retunes the shared circuit to lane i's corner (device parameters,
 // source waveforms — anything that moves values without moving MNA stamp
-// positions); each lane then runs the full dc_operating_point ladder (plain
-// Newton, gmin stepping, source stepping) with its factorizations served by
-// linalg::SparseLuBatch, so after the first lane every Newton iteration is
-// a numeric replay of the recorded elimination instead of a fresh symbolic
-// factorization.
+// positions); each lane then runs dc_operating_point's ladder (plain
+// Newton, gmin stepping, source stepping) with its sparse factorizations
+// served by linalg::SparseLuBatch, so after the first lane every Newton
+// iteration is a numeric replay of the recorded elimination instead of a
+// fresh symbolic factorization.
 //
-// Determinism contract: with warm_start off (the default), lane i's result
-// is bitwise identical to building a standalone circuit at corner i and
-// calling dc_operating_point on it. That holds because an accepted
-// SparseLu replay is bitwise identical to a full factor of the same matrix,
-// rejected replays fall back to exactly that full factor, and the Newton
-// driver below mirrors newton_solve step for step. Consequently threads may
-// split a batch into contiguous lane chunks (threads split the batch,
-// never a lane) without perturbing any result.
+// Determinism contract: lane i's result is bitwise identical to building a
+// standalone circuit at corner i and calling dc_operating_point on it. A
+// lane runs the very code of a standalone solve: the same Newton loop and
+// ladder (dcop.hpp, detail::) and the same MnaLinearSolver pipeline, with
+// only the sparse factor/solve moved to the lane's slot of the batch LU.
+// An accepted SparseLu replay is bitwise identical to a full factor of the
+// same matrix, and a rejected replay falls back to exactly that full
+// factor. Consequently threads may split a batch into contiguous lane
+// chunks (threads split the batch, never a lane) without perturbing any
+// result.
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "ftl/linalg/sparse_lu.hpp"
 #include "ftl/spice/dcop.hpp"
 
 namespace ftl::spice {
@@ -31,7 +32,7 @@ namespace ftl::spice {
 /// Process-wide batch-engine counters (relaxed atomics, monotonic),
 /// surfaced by the serve `stats` op as `batch_core` next to `spice_core`.
 struct BatchCounters {
-  std::uint64_t batches = 0;            ///< dcop_batch / BatchSolver::solve calls
+  std::uint64_t batches = 0;            ///< dcop_batch calls
   std::uint64_t lanes = 0;              ///< corners solved across all batches
   std::uint64_t symbolic_factors = 0;   ///< full analyses (first lane + rescues)
   std::uint64_t symbolic_reuses = 0;    ///< lane factors replayed off the record
@@ -46,15 +47,6 @@ BatchCounters batch_counters();
 /// Resets all counters to zero (test support).
 void reset_batch_counters();
 
-struct BatchOptions {
-  NewtonOptions newton;
-  /// Seed each lane's Newton iteration from the previous lane's solution
-  /// instead of zero. Converges faster on smooth corner sweeps, but changes
-  /// the iterates, so results are no longer bitwise identical to standalone
-  /// dc_operating_point runs — off by default.
-  bool warm_start = false;
-};
-
 /// Outcome of one lane. `failed` mirrors dc_operating_point throwing for
 /// that corner (singular system, stalled rescue): `error` then carries the
 /// exception text and `op` is meaningless. Callers that would have caught
@@ -65,54 +57,14 @@ struct BatchCornerResult {
   std::string error;
 };
 
-/// The batched engine. One instance owns the shared assembly buffers and
-/// the lane-blocked LU; it is single-threaded (one instance per thread when
-/// splitting a batch).
-class BatchSolver {
- public:
-  /// `apply(lane)` mutates `circuit` to lane's corner; it runs once per
-  /// lane per solve() call, before that lane's first assembly. `circuit`
-  /// must outlive the solver.
-  BatchSolver(Circuit& circuit, std::size_t lanes);
-
-  std::size_t lanes() const { return lanes_; }
-
-  /// Runs the full DC-operating-point ladder for every lane, in lane order.
-  /// Never throws for per-lane numeric failures (reported per corner); a
-  /// presolve-gate rejection fails every lane with the same error.
-  std::vector<BatchCornerResult> solve(
-      const std::function<void(std::size_t)>& apply,
-      const BatchOptions& options = BatchOptions());
-
-  /// LU-level counters of the most recent solve() call.
-  const linalg::SparseLuBatchCounters& lu_counters() const {
-    return lu_.counters();
-  }
-
- private:
-  OpResult run_lane(std::size_t lane, const linalg::Vector& initial,
-                    EvalContext ctx, const NewtonOptions& options);
-  void solve_lane_iteration(std::size_t lane, const EvalContext& ctx,
-                            linalg::Vector& x);
-
-  Circuit* circuit_;
-  std::size_t lanes_;
-  int n_ = 0;
-  int node_count_ = 0;
-  bool nonlinear_ = false;
-  bool sparse_active_ = false;
-  std::uint64_t newton_iterations_ = 0;
-
-  SparseAssembly sparse_;
-  linalg::SparseLuBatch lu_;
-  DenseAssembly dense_;
-  linalg::LuFactorization dense_lu_;
-};
-
-/// Convenience wrapper: K corners of `circuit` through one BatchSolver.
+/// Solves K corners of `circuit` at the default NewtonOptions, in lane
+/// order. `apply(lane)` mutates `circuit` to lane's corner; it runs once per
+/// lane, before that lane's first assembly. Single-threaded: parallel
+/// callers give each thread its own circuit. Never throws for per-lane
+/// numeric failures (reported per corner); a presolve-gate rejection fails
+/// every lane with the same error.
 std::vector<BatchCornerResult> dcop_batch(
     Circuit& circuit, std::size_t lanes,
-    const std::function<void(std::size_t)>& apply,
-    const BatchOptions& options = BatchOptions());
+    const std::function<void(std::size_t)>& apply);
 
 }  // namespace ftl::spice

@@ -1,10 +1,5 @@
 #include "ftl/spice/dcop.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "ftl/util/error.hpp"
-
 namespace ftl::spice {
 
 OpResult newton_solve(Circuit& circuit, const linalg::Vector& initial,
@@ -13,79 +8,23 @@ OpResult newton_solve(Circuit& circuit, const linalg::Vector& initial,
   // and transient; the hook runs once per topology and throws to abort.
   circuit.run_presolve_gate();
   const int n = circuit.prepare_unknowns();
-  OpResult result;
-  result.solution = initial.size() == static_cast<std::size_t>(n)
-                        ? initial
-                        : linalg::Vector(static_cast<std::size_t>(n), 0.0);
-  result.gmin_used = ctx.gmin;
-
-  const int node_count = circuit.node_count();
-  // Step clamping is a nonlinear-convergence aid; a linear system's first
-  // solve is already exact and must not be truncated.
-  const bool nonlinear = circuit.has_nonlinear_devices();
-  const bool clamp_steps = nonlinear;
 
   // The circuit-held pipeline keeps the assembly buffers, the cached MNA
   // sparsity pattern, and the factorization workspaces alive across
   // iterations AND across the sweep/transient steps that call back in here.
   MnaLinearSolver& solver = circuit.linear_solver();
   solver.prepare(n, options.matrix_mode);
-
-  linalg::Vector next;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    ctx.solution = &result.solution;
-    try {
-      solver.solve_iteration(circuit, ctx, next);
-    } catch (const ftl::Error& e) {
-      throw ftl::Error(std::string("DC solve failed (") + e.what() +
-                       "); check for floating nodes");
-    }
-
-    // Clamp the Newton step on node voltages to aid convergence.
-    bool converged = true;
-    for (int i = 0; i < n; ++i) {
-      const std::size_t ui = static_cast<std::size_t>(i);
-      double delta = next[ui] - result.solution[ui];
-      if (clamp_steps && i < node_count) {
-        delta = std::clamp(delta, -options.max_step, options.max_step);
-      }
-      const double updated = result.solution[ui] + delta;
-      const double tol =
-          options.abstol + options.reltol * std::max(std::fabs(updated),
-                                                     std::fabs(result.solution[ui]));
-      if (std::fabs(delta) > tol) converged = false;
-      result.solution[ui] = updated;
-    }
-    // A linear system's first solve is exact: accept it at iter 0 instead
-    // of burning a second assemble+factor+solve to "confirm" convergence.
-    // Nonlinear systems still require one confirming iteration.
-    if (converged && (iter > 0 || !nonlinear)) {
-      result.converged = true;
-      return result;
-    }
-    if (!nonlinear && iter == 0) {
-      // Linear circuits land in one solve even when the update was large.
-      result.converged = true;
-      result.iterations = 1;
-      return result;
-    }
-  }
-  return result;
+  return detail::newton_loop(
+      circuit, n, initial, ctx, options,
+      [&](const EvalContext& step_ctx, linalg::Vector& next) {
+        solver.solve_iteration(circuit, step_ctx, next);
+      });
 }
 
 OpResult dc_operating_point(Circuit& circuit, const NewtonOptions& options) {
-  EvalContext ctx;
-  ctx.is_transient = false;
-  ctx.gmin = options.gmin;
-
-  // Plain Newton from a zero start; the shared rescue ladders otherwise.
-  OpResult direct = newton_solve(circuit, {}, ctx, options);
-  if (direct.converged) return direct;
-  return detail::dcop_rescue(
-      ctx, options,
-      [&](const linalg::Vector& initial, const EvalContext& step_ctx) {
-        return newton_solve(circuit, initial, step_ctx, options);
+  return detail::dcop_ladder(
+      options, [&](const linalg::Vector& initial, const EvalContext& ctx) {
+        return newton_solve(circuit, initial, ctx, options);
       });
 }
 

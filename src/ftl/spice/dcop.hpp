@@ -3,6 +3,8 @@
 // ladders: gmin stepping and source stepping.
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <string>
 
 #include "ftl/spice/circuit.hpp"
@@ -42,16 +44,85 @@ OpResult newton_solve(Circuit& circuit, const linalg::Vector& initial,
 
 namespace detail {
 
-/// The classic rescue ladders (gmin stepping, then source stepping from the
-/// ladder's best solution), shared verbatim by dc_operating_point and the
-/// batched corner driver (spice/batch.hpp) so both rescue identically.
-/// `run(initial, step_ctx)` performs one Newton solve and returns its
-/// OpResult; `ctx` is the target context (true gmin, full sources). Called
-/// after a plain Newton attempt failed; throws ftl::Error when both ladders
+/// The Newton loop behind every analysis: newton_solve and the batched
+/// corner engine (spice/batch.hpp) both run it, so a batch lane iterates
+/// bit for bit like a standalone solve. `n` is circuit.prepare_unknowns();
+/// `step(ctx, next)` assembles the system linearized at *ctx.solution and
+/// solves it into `next`, throwing ftl::Error when it is singular. Returns
+/// unconverged after options.max_iterations.
+template <class StepFn>
+OpResult newton_loop(const Circuit& circuit, int n,
+                     const linalg::Vector& initial, EvalContext ctx,
+                     const NewtonOptions& options, StepFn&& step) {
+  OpResult result;
+  result.solution = initial.size() == static_cast<std::size_t>(n)
+                        ? initial
+                        : linalg::Vector(static_cast<std::size_t>(n), 0.0);
+  result.gmin_used = ctx.gmin;
+
+  const int node_count = circuit.node_count();
+  // Step clamping is a nonlinear-convergence aid; a linear system's first
+  // solve is already exact and must not be truncated.
+  const bool nonlinear = circuit.has_nonlinear_devices();
+  const bool clamp_steps = nonlinear;
+
+  linalg::Vector next;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    result.iterations = iter + 1;
+    ctx.solution = &result.solution;
+    try {
+      step(ctx, next);
+    } catch (const ftl::Error& e) {
+      throw ftl::Error(std::string("DC solve failed (") + e.what() +
+                       "); check for floating nodes");
+    }
+
+    // Clamp the Newton step on node voltages to aid convergence.
+    bool converged = true;
+    for (int i = 0; i < n; ++i) {
+      const std::size_t ui = static_cast<std::size_t>(i);
+      double delta = next[ui] - result.solution[ui];
+      if (clamp_steps && i < node_count) {
+        delta = std::clamp(delta, -options.max_step, options.max_step);
+      }
+      const double updated = result.solution[ui] + delta;
+      const double tol =
+          options.abstol + options.reltol * std::max(std::fabs(updated),
+                                                     std::fabs(result.solution[ui]));
+      if (std::fabs(delta) > tol) converged = false;
+      result.solution[ui] = updated;
+    }
+    // A linear system's first solve is exact: accept it at iter 0 instead
+    // of burning a second assemble+factor+solve to "confirm" convergence.
+    // Nonlinear systems still require one confirming iteration.
+    if (converged && (iter > 0 || !nonlinear)) {
+      result.converged = true;
+      return result;
+    }
+    if (!nonlinear && iter == 0) {
+      // Linear circuits land in one solve even when the update was large.
+      result.converged = true;
+      result.iterations = 1;
+      return result;
+    }
+  }
+  return result;
+}
+
+/// The DC operating-point strategy of dc_operating_point, shared verbatim
+/// with the batched corner engine so both rescue identically: plain Newton
+/// from a zero start, then gmin stepping, then source stepping from the
+/// gmin ladder's best solution. `run(initial, ctx)` performs one Newton
+/// solve and returns its OpResult. Throws ftl::Error when both ladders
 /// stall.
 template <class RunFn>
-OpResult dcop_rescue(const EvalContext& ctx, const NewtonOptions& options,
-                     RunFn&& run) {
+OpResult dcop_ladder(const NewtonOptions& options, RunFn&& run) {
+  EvalContext ctx;
+  ctx.is_transient = false;
+  ctx.gmin = options.gmin;
+  OpResult direct = run(linalg::Vector{}, ctx);
+  if (direct.converged) return direct;
+
   // gmin stepping: solve an easier (leakier) circuit, then tighten.
   linalg::Vector guess;
   bool have_guess = false;

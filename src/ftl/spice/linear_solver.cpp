@@ -82,48 +82,66 @@ void assemble(const Circuit& circuit, const EvalContext& ctx,
 void MnaLinearSolver::solve_iteration(const Circuit& circuit,
                                       const EvalContext& ctx,
                                       linalg::Vector& x) {
+  iterate(circuit, ctx, nullptr, 0, x);
+}
+
+void MnaLinearSolver::solve_iteration(const Circuit& circuit,
+                                      const EvalContext& ctx,
+                                      linalg::SparseLuBatch& batch,
+                                      std::size_t lane, linalg::Vector& x) {
+  iterate(circuit, ctx, &batch, lane, x);
+}
+
+void MnaLinearSolver::iterate(const Circuit& circuit, const EvalContext& ctx,
+                              linalg::SparseLuBatch* batch, std::size_t lane,
+                              linalg::Vector& x) {
   FTL_EXPECTS(n_ > 0);
   const std::size_t n = static_cast<std::size_t>(n_);
+  // Only the pipeline's own factorizations count here; a batch lane's are
+  // reported through its SparseLuBatch as batch_core.
+  const bool own = batch == nullptr;
   AtomicSpiceCounters& counters = spice_counter_cells();
-  counters.newton_iterations.fetch_add(1, std::memory_order_relaxed);
+  if (own) counters.newton_iterations.fetch_add(1, std::memory_order_relaxed);
 
   if (sparse_active_) {
     sparse_.reset(n);
     assemble(circuit, ctx, sparse_);
-    const bool pattern_changed = sparse_.finalize();
-    if (pattern_changed) have_symbolic_ = false;
+    if (sparse_.finalize()) {  // pattern changed: recorded analyses are stale
+      have_symbolic_ = false;
+      if (!own) batch->invalidate();
+    }
 
     const linalg::CsrView a = sparse_.matrix();
     bool factored = false;
     try {
-      if (have_symbolic_ && sparse_lu_.refactor(a)) {
+      if (!own) {
+        batch->factor_lane(lane, a);
+      } else if (have_symbolic_ && sparse_lu_.refactor(a)) {
         counters.refactors.fetch_add(1, std::memory_order_relaxed);
-        factored = true;
       } else {
         sparse_lu_.factor(a);
         counters.factors.fetch_add(1, std::memory_order_relaxed);
         have_symbolic_ = true;
-        factored = true;
       }
+      factored = true;
     } catch (const ftl::Error&) {
       have_symbolic_ = false;  // fall through to the dense rescue below
-      counters.dense_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      if (own) counters.dense_fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
     if (factored) {
-      sparse_lu_.solve(sparse_.rhs(), x);
+      if (own) {
+        sparse_lu_.solve(sparse_.rhs(), x);
+      } else {
+        batch->solve_lane(lane, sparse_.rhs(), x);
+      }
       return;
     }
     // Sparse pivoting gave out (near-singular system). Re-assemble densely
     // once — the dense kernel's full pivot search is the last word; if it
     // also reports singular, the ftl::Error propagates to the caller.
-    dense_.reset(n);
-    assemble(circuit, ctx, dense_);
-    dense_lu_.refactor(dense_.matrix());
-    dense_lu_.solve(dense_.rhs(), x);
-    return;
+  } else if (own) {
+    counters.dense_solves.fetch_add(1, std::memory_order_relaxed);
   }
-
-  counters.dense_solves.fetch_add(1, std::memory_order_relaxed);
   dense_.reset(n);
   assemble(circuit, ctx, dense_);
   dense_lu_.refactor(dense_.matrix());

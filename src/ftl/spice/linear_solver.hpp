@@ -5,6 +5,7 @@
 // so the sparsity pattern is computed once per circuit and the sparse LU
 // reuses its symbolic analysis whenever the pattern holds still.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "ftl/linalg/lu.hpp"
@@ -17,11 +18,11 @@ class Circuit;
 
 /// Process-wide Newton/LU pipeline counters (relaxed atomics, monotonic),
 /// surfaced by the serve `stats` op as `spice_core` so production circuit
-/// load is observable. They cover the classic per-circuit MnaLinearSolver
-/// path; the batched corner engine reports separately as `batch_core`
-/// (spice/batch.hpp).
+/// load is observable. They count newton_solve's iterations (every scalar
+/// analysis); batch lanes run the same pipeline but report only as
+/// `batch_core` (spice/batch.hpp).
 struct SpiceCounters {
-  std::uint64_t newton_iterations = 0;  ///< solve_iteration calls, all analyses
+  std::uint64_t newton_iterations = 0;  ///< scalar iterations, all analyses
   std::uint64_t factors = 0;            ///< full sparse factorizations
   std::uint64_t refactors = 0;          ///< accepted numeric-only replays
   std::uint64_t dense_fallbacks = 0;    ///< sparse pivoting gave out mid-solve
@@ -61,9 +62,22 @@ class MnaLinearSolver {
   void solve_iteration(const Circuit& circuit, const EvalContext& ctx,
                        linalg::Vector& x);
 
+  /// The same iteration with lane `lane` of `batch` serving the sparse
+  /// factor and solve in place of the pipeline's own SparseLu: the step of
+  /// the batched corner engine. Counts nothing into spice_core.
+  void solve_iteration(const Circuit& circuit, const EvalContext& ctx,
+                       linalg::SparseLuBatch& batch, std::size_t lane,
+                       linalg::Vector& x);
+
   bool using_sparse() const { return sparse_active_; }
 
  private:
+  /// The one assemble -> factor -> solve pipeline; `batch` null means the
+  /// pipeline's own SparseLu.
+  void iterate(const Circuit& circuit, const EvalContext& ctx,
+               linalg::SparseLuBatch* batch, std::size_t lane,
+               linalg::Vector& x);
+
   int n_ = -1;
   MatrixMode mode_ = MatrixMode::kAuto;
   bool sparse_active_ = false;

@@ -583,6 +583,58 @@ TEST(ServeProtocol, MalformedRequestsAreBadRequests) {
   EXPECT_DOUBLE_EQ(r.find("id")->as_number(), 42.0);
 }
 
+// Seeds the double -> uint64 conversion cannot take exactly: negative,
+// fractional, past 2^53, or infinite (the JSON parser reads 1e400 as inf).
+void expect_seed_checked(const std::string& request_prefix) {
+  Service service({.workers = 1});
+  for (const char* seed : {"-1", "0.5", "1e20", "9007199254740994", "1e400",
+                           "-1e400"}) {
+    expect_error(reply(service, request_prefix + R"(,"seed":)" + seed + "}"),
+                 "bad_request");
+  }
+  const JsonValue ok = reply(service, request_prefix + R"(,"seed":7})");
+  EXPECT_TRUE(ok.bool_or("ok", false)) << ok.dump();
+}
+
+TEST(ServeProtocol, SynthRejectsSeedsOutsideTheExactIntegers) {
+  expect_seed_checked(
+      R"({"op":"synth","expr":"a b","method":"search","rows":2,"cols":1)");
+}
+
+TEST(ServeProtocol, SynthSatRejectsSeedsOutsideTheExactIntegers) {
+  expect_seed_checked(R"({"op":"synth_sat","expr":"a b","rows":2,"cols":1)");
+}
+
+TEST(ServeProtocol, SweepBatchRejectsSeedsOutsideTheExactIntegers) {
+  expect_seed_checked(R"({"op":"sweep_batch","expr":"a b","trials":2)");
+}
+
+TEST(ServeProtocol, ExploreRejectsSeedsOutsideTheExactIntegers) {
+  expect_seed_checked(
+      R"({"op":"explore","expr":"a b","max_cells":2,"complementary":false,)"
+      R"("phase_ns":20,"dt_ns":0.5)");
+}
+
+TEST(ServeProtocol, DeadlineMustBeFiniteAndBounded) {
+  Service service({.workers = 1});
+  for (const char* ms : {"1e300", "1e400", "-1e400", "1000000001"}) {
+    const std::string line =
+        std::string(R"({"op":"ping","id":3,"deadline_ms":)") + ms + "}";
+    const JsonValue now = reply(service, line);
+    expect_error(now, "bad_request");
+    EXPECT_DOUBLE_EQ(now.find("id")->as_number(), 3.0);
+    expect_error(JsonValue::parse(service.submit(line).get()), "bad_request");
+  }
+  // Zero and negative budgets still mean "no deadline".
+  for (const char* ms : {"0", "-5", "1000000000"}) {
+    const std::string line =
+        std::string(R"({"op":"ping","deadline_ms":)") + ms + "}";
+    EXPECT_TRUE(reply(service, line).bool_or("ok", false)) << ms;
+    EXPECT_TRUE(JsonValue::parse(service.submit(line).get()).bool_or("ok", false))
+        << ms;
+  }
+}
+
 TEST(ServeProtocol, LintNetlistReportsFindings) {
   Service service({.workers = 1});
   // "ok" means the lint ran; the findings live inside "report".

@@ -1,11 +1,11 @@
 // Batched corner DC engine: bitwise agreement with standalone
-// dc_operating_point across sparse and dense paths, chain_current_batch
-// parity, per-lane failure reporting, warm starts, and the process-wide
-// batch_core counters.
+// dc_operating_point across sparse and dense paths and through the rescue
+// ladders, chain_current_batch parity, per-lane failure reporting, and the
+// process-wide batch_core counters.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +14,8 @@
 #include "ftl/lattice/known_mappings.hpp"
 #include "ftl/spice/batch.hpp"
 #include "ftl/spice/dcop.hpp"
+#include "ftl/spice/devices.hpp"
+#include "ftl/spice/mosfet.hpp"
 #include "ftl/spice/sources.hpp"
 #include "ftl/util/error.hpp"
 
@@ -97,6 +99,7 @@ TEST(SpiceBatch, ChainCurrentBatchMatchesPerPointBitwise) {
 }
 
 TEST(SpiceBatch, CountersAccumulatePerBatchAndLane) {
+  const spice::SpiceCounters scalar_before = spice::spice_counters();
   const spice::BatchCounters before = spice::batch_counters();
   std::vector<double> volts{0.5, 1.0, 1.5, 2.0};
   // 8 switches put the MNA system above the dense cutover, so the lanes
@@ -110,45 +113,94 @@ TEST(SpiceBatch, CountersAccumulatePerBatchAndLane) {
   // factorizations ride the recorded elimination.
   EXPECT_GT(after.symbolic_reuses, before.symbolic_reuses);
   EXPECT_GT(after.numeric_refactors, before.numeric_refactors);
+
+  // One switch stays below the cutover, so these lanes take the dense path.
+  bridge::chain_current_batch(1, volts, volts);
+  // Batch lanes run on the scalar pipeline but count into batch_core only:
+  // no spice_core field moves on either path.
+  const spice::SpiceCounters scalar_after = spice::spice_counters();
+  EXPECT_EQ(scalar_after.newton_iterations, scalar_before.newton_iterations);
+  EXPECT_EQ(scalar_after.factors, scalar_before.factors);
+  EXPECT_EQ(scalar_after.refactors, scalar_before.refactors);
+  EXPECT_EQ(scalar_after.dense_fallbacks, scalar_before.dense_fallbacks);
+  EXPECT_EQ(scalar_after.dense_solves, scalar_before.dense_solves);
 }
 
-TEST(SpiceBatch, WarmStartConvergesToTheSameOperatingPoints) {
-  // warm_start trades bitwise identity for fewer iterations on smooth
-  // sweeps; the operating points themselves must still agree to solver
-  // tolerance.
-  bridge::ChainCircuit chain = bridge::build_switch_chain(3, 1.2, 1.2);
-  auto& supply = dynamic_cast<spice::VoltageSource&>(
-      chain.circuit.device(chain.supply_source));
-  auto& gate = dynamic_cast<spice::VoltageSource&>(
-      chain.circuit.device(chain.gate_source));
-  std::vector<double> volts{0.6, 0.8, 1.0, 1.2, 1.4};
-  const auto apply = [&](std::size_t lane) {
-    supply.set_waveform(spice::Waveform::dc(volts[lane]));
-    gate.set_waveform(spice::Waveform::dc(volts[lane]));
+// `copies` stiff feedback cells on one supply rail. Each cell is a weak
+// pass device (kp 0.01, gate on the rail) from node a to node out, a steep
+// one (kp 100) from the rail to a whose gate is out, and 100 ohm from out to
+// ground. The Rescue.* fixtures of test_spice_rescue.cpp all converge under
+// plain Newton; this cell does not, at any supply used below, so its lanes
+// must climb the gmin / source-stepping ladder. One cell takes the dense
+// path; twelve (26 unknowns) take the sparse path.
+spice::Circuit stiff_feedback_cells(int copies, double supply) {
+  const auto level1 = [](double kp) {
+    fit::Level1Params p;
+    p.kp = kp;
+    p.vth = 0.2;
+    p.lambda = 0.0;
+    p.width = 1e-6;
+    p.length = 1e-6;
+    return p;
   };
+  spice::Circuit c;
+  const int rail = c.node("vdd");
+  c.add(std::make_unique<spice::VoltageSource>(
+      "VDD", rail, spice::Circuit::kGround, spice::Waveform::dc(supply)));
+  for (int k = 0; k < copies; ++k) {
+    const std::string tag = std::to_string(k);
+    const int a = c.node("a" + tag);
+    const int out = c.node("out" + tag);
+    c.add(std::make_unique<spice::Mosfet>("MA" + tag, a, rail, out,
+                                          spice::Circuit::kGround,
+                                          level1(0.01)));
+    c.add(std::make_unique<spice::Mosfet>("MB" + tag, a, out, rail,
+                                          spice::Circuit::kGround,
+                                          level1(100.0)));
+    c.add(std::make_unique<spice::Resistor>("R" + tag, out,
+                                            spice::Circuit::kGround, 100.0));
+  }
+  return c;
+}
 
-  const auto cold = spice::dcop_batch(chain.circuit, volts.size(), apply);
-  spice::BatchOptions warm_options;
-  warm_options.warm_start = true;
-  const auto warm =
-      spice::dcop_batch(chain.circuit, volts.size(), apply, warm_options);
-  std::uint64_t cold_iters = 0;
-  std::uint64_t warm_iters = 0;
-  for (std::size_t lane = 0; lane < volts.size(); ++lane) {
-    ASSERT_FALSE(cold[lane].failed);
-    ASSERT_FALSE(warm[lane].failed);
-    ASSERT_TRUE(cold[lane].op.converged);
-    ASSERT_TRUE(warm[lane].op.converged);
-    cold_iters += static_cast<std::uint64_t>(cold[lane].op.iterations);
-    warm_iters += static_cast<std::uint64_t>(warm[lane].op.iterations);
-    for (std::size_t i = 0; i < cold[lane].op.solution.size(); ++i) {
-      EXPECT_NEAR(warm[lane].op.solution[i], cold[lane].op.solution[i], 1e-6)
-          << "lane=" << lane << " unknown=" << i;
+TEST(SpiceBatch, RescuedLanesMatchStandaloneDcopBitwise) {
+  // Every rung of a lane's rescue ladder runs through the batch LU and must
+  // replay the standalone solve bit for bit.
+  const std::vector<double> supplies{3.0, 3.7, 4.5};
+  for (const int copies : {1, 12}) {
+    spice::Circuit shared = stiff_feedback_cells(copies, supplies[0]);
+    auto& vdd = dynamic_cast<spice::VoltageSource&>(shared.device("VDD"));
+    const std::vector<spice::BatchCornerResult> batch = spice::dcop_batch(
+        shared, supplies.size(), [&](std::size_t lane) {
+          vdd.set_waveform(spice::Waveform::dc(supplies[lane]));
+        });
+    ASSERT_EQ(batch.size(), supplies.size());
+
+    for (std::size_t lane = 0; lane < supplies.size(); ++lane) {
+      const std::string where = "copies=" + std::to_string(copies) +
+                                " supply=" + std::to_string(supplies[lane]);
+      // The corner really needs the ladder: plain Newton from zero stalls.
+      spice::Circuit plain = stiff_feedback_cells(copies, supplies[lane]);
+      const spice::NewtonOptions options;
+      spice::EvalContext ctx;
+      ctx.gmin = options.gmin;
+      ASSERT_FALSE(spice::newton_solve(plain, {}, ctx, options).converged)
+          << where;
+
+      spice::Circuit standalone = stiff_feedback_cells(copies, supplies[lane]);
+      const spice::OpResult op = spice::dc_operating_point(standalone);
+      const spice::BatchCornerResult& r = batch[lane];
+      ASSERT_FALSE(r.failed) << where << ": " << r.error;
+      ASSERT_TRUE(r.op.converged) << where;
+      EXPECT_EQ(r.op.iterations, op.iterations) << where;
+      EXPECT_EQ(r.op.gmin_used, op.gmin_used) << where;
+      ASSERT_EQ(r.op.solution.size(), op.solution.size());
+      for (std::size_t i = 0; i < op.solution.size(); ++i) {
+        EXPECT_EQ(r.op.solution[i], op.solution[i])
+            << where << " unknown=" << i;
+      }
     }
   }
-  // Adjacent sweep points are close, so seeding from the neighbour must not
-  // cost iterations overall.
-  EXPECT_LE(warm_iters, cold_iters);
 }
 
 TEST(SpiceBatch, PresolveRejectionFailsEveryLaneWithoutThrowing) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 
 #include "ftl/util/csv.hpp"
 #include "ftl/util/error.hpp"
@@ -26,6 +27,11 @@ struct SuffixCase {
   const char* text;
   double expected;
 };
+
+// Names each case after its input text. Without it gtest prints the raw
+// bytes, the text pointer included, and ctest discovers a different name
+// on every run.
+void PrintTo(const SuffixCase& c, std::ostream* os) { *os << c.text; }
 
 class UnitsSuffix : public ::testing::TestWithParam<SuffixCase> {};
 
