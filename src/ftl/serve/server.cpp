@@ -37,7 +37,7 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr int kMaxIov = 64;
 
 const char kTooLongBody[] =
-    "{\"ok\":false,\"error\":\"bad_request\","
+    "{\"op\":\"?\",\"ok\":false,\"error\":\"bad_request\","
     "\"message\":\"request line too long\"}";
 
 void set_nonblocking(int fd) {

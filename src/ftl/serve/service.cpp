@@ -6,11 +6,13 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "ftl/bridge/metrics.hpp"
@@ -262,18 +264,18 @@ JsonValue metrics_json(const bridge::GateMetrics& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Handlers. Each returns the response body *without* the echoed id, with
-// "op" and "ok" first, so pure-op bodies are cacheable verbatim.
+// Handlers. Each fills in `body`, which the request path starts as
+// {"op":<table name>,"ok":true}, and returns it *without* the echoed id, so
+// pure-op bodies are cacheable verbatim.
 
-JsonValue body_for(const std::string& op, bool ok = true) {
+JsonValue body_for(std::string_view op, bool ok = true) {
   JsonValue body = JsonValue::object();
-  body.set("op", JsonValue::str(op));
+  body.set("op", JsonValue::str(std::string(op)));
   body.set("ok", JsonValue::boolean(ok));
   return body;
 }
 
-JsonValue handle_ping(const JsonValue&, const Deadline&) {
-  JsonValue body = body_for("ping");
+JsonValue handle_ping(JsonValue body, const JsonValue&, const Deadline&) {
   body.set("pong", JsonValue::boolean(true));
   return body;
 }
@@ -290,8 +292,8 @@ void set_library_fields(JsonValue& body, const library::SynthesisResult& r) {
   }
 }
 
-JsonValue handle_synth(const JsonValue& req, const Deadline& deadline,
-                       library::LatticeLibrary* lib) {
+JsonValue handle_synth(JsonValue body, const JsonValue& req,
+                       const Deadline& deadline, library::LatticeLibrary* lib) {
   const logic::ParsedFunction parsed = logic::parse_expression(
       require_string(req, "expr"), string_array_or(req, "vars"));
   const std::string method = req.string_or("method", "auto");
@@ -323,7 +325,7 @@ JsonValue handle_synth(const JsonValue& req, const Deadline& deadline,
   } catch (const lattice::SearchBoundExceeded& e) {
     // Typed refusal, not a generic bad_request: clients can read the
     // numbers and retarget to the synth_sat op mechanically.
-    JsonValue body = body_for("synth", false);
+    body.set("ok", JsonValue::boolean(false));
     body.set("error", JsonValue::str("bound_exceeded"));
     body.set("message", JsonValue::str(e.what()));
     body.set("candidates", JsonValue::number(e.candidates()));
@@ -332,7 +334,6 @@ JsonValue handle_synth(const JsonValue& req, const Deadline& deadline,
   }
   deadline.check("serialization");
 
-  JsonValue body = body_for("synth");
   body.set("method", JsonValue::str(method));
   if (seed) {
     body.set("seed", JsonValue::number(static_cast<double>(*seed)));
@@ -355,7 +356,8 @@ JsonValue handle_synth(const JsonValue& req, const Deadline& deadline,
 /// (no CDCL ran), a miss runs synth_sat and offers the result back to the
 /// library. Outcomes other than "found" are structured results, not errors
 /// — infeasibility is a proof, budget exhaustion an explicit refusal.
-JsonValue handle_synth_sat(const JsonValue& req, const Deadline& deadline,
+JsonValue handle_synth_sat(JsonValue body, const JsonValue& req,
+                           const Deadline& deadline,
                            library::LatticeLibrary* lib) {
   const logic::ParsedFunction parsed = logic::parse_expression(
       require_string(req, "expr"), string_array_or(req, "vars"));
@@ -378,7 +380,6 @@ JsonValue handle_synth_sat(const JsonValue& req, const Deadline& deadline,
       library::synthesize(parsed.table, synth_req, lib);
   deadline.check("serialization");
 
-  JsonValue body = body_for("synth_sat");
   body.set("found", JsonValue::boolean(result.found));
   set_library_fields(body, result);
   body.set("proven_infeasible", JsonValue::boolean(result.proven_infeasible));
@@ -417,12 +418,12 @@ JsonValue handle_synth_sat(const JsonValue& req, const Deadline& deadline,
   return body;
 }
 
-JsonValue handle_eval(const JsonValue& req, const Deadline& deadline) {
+JsonValue handle_eval(JsonValue body, const JsonValue& req,
+                      const Deadline& deadline) {
   LatticeSpec spec = lattice_spec_from(req);
   const lattice::Lattice& lat = spec.lat;
   deadline.check("evaluation");
 
-  JsonValue body = body_for("eval");
   body.set("rows", JsonValue::number(lat.rows()));
   body.set("cols", JsonValue::number(lat.cols()));
   body.set("num_vars", JsonValue::number(lat.num_vars()));
@@ -471,7 +472,8 @@ JsonValue handle_eval(const JsonValue& req, const Deadline& deadline) {
   return body;
 }
 
-JsonValue handle_paths(const JsonValue& req, const Deadline& deadline) {
+JsonValue handle_paths(JsonValue body, const JsonValue& req,
+                       const Deadline& deadline) {
   const int rows = require_int(req, "rows", 1, 12);
   const int cols = require_int(req, "cols", 1, 12);
   const int list_limit = req.find("list_limit") != nullptr
@@ -479,7 +481,6 @@ JsonValue handle_paths(const JsonValue& req, const Deadline& deadline) {
                              : 0;
   deadline.check("enumeration");
 
-  JsonValue body = body_for("paths");
   body.set("rows", JsonValue::number(rows));
   body.set("cols", JsonValue::number(cols));
   body.set("count", JsonValue::number(
@@ -499,7 +500,8 @@ JsonValue handle_paths(const JsonValue& req, const Deadline& deadline) {
   return body;
 }
 
-JsonValue handle_metrics(const JsonValue& req, const Deadline& deadline) {
+JsonValue handle_metrics(JsonValue body, const JsonValue& req,
+                         const Deadline& deadline) {
   LatticeSpec spec = lattice_spec_from(req);
   if (spec.lat.num_vars() > 6) {
     throw Error("metrics characterization needs num_vars <= 6");
@@ -513,7 +515,6 @@ JsonValue handle_metrics(const JsonValue& req, const Deadline& deadline) {
       bridge::measure_resistor_gate(spec.lat, target, opts);
   deadline.check("serialization");
 
-  JsonValue body = body_for("metrics");
   body.set("rows", JsonValue::number(spec.lat.rows()));
   body.set("cols", JsonValue::number(spec.lat.cols()));
   body.set("metrics", metrics_json(metrics));
@@ -526,7 +527,8 @@ JsonValue handle_metrics(const JsonValue& req, const Deadline& deadline) {
 // parameters at ANY worker count (lanes reduce in trial order; threads
 // split the batch, never a trial), so it is a pure, cacheable op; the
 // engine's process-wide counters surface in `stats` as batch_core.
-JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
+JsonValue handle_sweep_batch(JsonValue body, const JsonValue& req,
+                             const Deadline& deadline) {
   LatticeSpec spec = lattice_spec_from(req);
   if (spec.lat.num_vars() > 6) {
     throw Error("sweep_batch characterization needs num_vars <= 6");
@@ -563,7 +565,6 @@ JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
       bridge::monte_carlo_yield(spec.lat, target, options);
   deadline.check("serialization");
 
-  JsonValue body = body_for("sweep_batch");
   body.set("rows", JsonValue::number(spec.lat.rows()));
   body.set("cols", JsonValue::number(spec.lat.cols()));
   body.set("trials", JsonValue::number(result.trials));
@@ -578,7 +579,8 @@ JsonValue handle_sweep_batch(const JsonValue& req, const Deadline& deadline) {
   return body;
 }
 
-JsonValue handle_explore(const JsonValue& req, const Deadline& deadline,
+JsonValue handle_explore(JsonValue body, const JsonValue& req,
+                         const Deadline& deadline,
                          library::LatticeLibrary* lib) {
   const logic::ParsedFunction parsed = logic::parse_expression(
       require_string(req, "expr"), string_array_or(req, "vars"));
@@ -619,7 +621,6 @@ JsonValue handle_explore(const JsonValue& req, const Deadline& deadline,
       designer::explore_designs(parsed.table, parsed.var_names, options);
   deadline.check("serialization");
 
-  JsonValue body = body_for("explore");
   JsonValue list = JsonValue::array();
   for (const designer::CandidateDesign& c : candidates) {
     JsonValue entry = JsonValue::object();
@@ -668,7 +669,8 @@ JsonValue report_json(const check::Report& report) {
 /// passes; a lattice spec ("cells" or "expr") runs the lattice passes plus
 /// — when a target function is known — BDD equivalence. Pure and cacheable
 /// like the other deterministic ops.
-JsonValue handle_lint(const JsonValue& req, const Deadline& deadline) {
+JsonValue handle_lint(JsonValue body, const JsonValue& req,
+                      const Deadline& deadline) {
   check::Report report;
   const bool certify = req.bool_or("certify", false);
   bool certified_lint = false;
@@ -713,7 +715,6 @@ JsonValue handle_lint(const JsonValue& req, const Deadline& deadline) {
   deadline.check("serialization");
   // "ok" means the lint ran, not that the subject is clean — findings live
   // in report.clean/errors/warnings.
-  JsonValue body = body_for("lint");
   body.set("report", report_json(report));
   // Certified lattice lints state the proof status: every UNSAT verdict
   // passed the embedded DRAT checker ("checked") or at least one was
@@ -728,7 +729,8 @@ JsonValue handle_lint(const JsonValue& req, const Deadline& deadline) {
   return body;
 }
 
-JsonValue handle_sleep(const JsonValue& req, const Deadline& deadline) {
+JsonValue handle_sleep(JsonValue body, const JsonValue& req,
+                       const Deadline& deadline) {
   const double ms = std::clamp(req.number_or("ms", 0.0), 0.0, 10000.0);
   const Clock::time_point end =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -741,15 +743,8 @@ JsonValue handle_sleep(const JsonValue& req, const Deadline& deadline) {
         std::min<Clock::duration>(remaining, std::chrono::milliseconds(5)));
   }
   deadline.check("sleep");
-  JsonValue body = body_for("sleep");
   body.set("slept_ms", JsonValue::number(ms));
   return body;
-}
-
-bool is_pure_op(const std::string& op) {
-  return op == "synth" || op == "synth_sat" || op == "eval" ||
-         op == "paths" || op == "metrics" || op == "sweep_batch" ||
-         op == "explore" || op == "lint";
 }
 
 /// Canonical parameter rendering for the cache key: the request object with
@@ -763,10 +758,10 @@ std::string canonical_params(const JsonValue& req) {
   return canon.dump();
 }
 
-std::string make_error_body(const std::string& op, const std::string& code,
+std::string make_error_body(const std::string& op, std::string_view code,
                             const std::string& message) {
   JsonValue body = body_for(op.empty() ? "?" : op, false);
-  body.set("error", JsonValue::str(code));
+  body.set("error", JsonValue::str(std::string(code)));
   body.set("message", JsonValue::str(message));
   return body.dump();
 }
@@ -806,22 +801,57 @@ struct Service::Impl {
     }
   }
 
+  /// One row of the op table: the protocol name, whether the op is a pure
+  /// (deterministic, cacheable) function of its parameters, and its
+  /// handler. Dispatch, cache eligibility, the unknown-op message and the
+  /// stats key all come from the row a request's "op" resolves to.
+  struct Op {
+    std::string_view name;
+    bool pure;
+    JsonValue (*handler)(Impl&, JsonValue body, const JsonValue& req,
+                         const Deadline&);
+  };
+  static const Op kOps[];  // defined below Impl: the handlers reach into it
+  static const Op* find_op(std::string_view name);  ///< null when unknown
+  static std::string op_list();  ///< "ping, synth, ..., or shutdown"
+
+  /// Table adapters for the free handlers, without and with the library.
+  template <JsonValue (*F)(JsonValue, const JsonValue&, const Deadline&)>
+  static JsonValue call(Impl&, JsonValue body, const JsonValue& req,
+                        const Deadline& deadline) {
+    return F(std::move(body), req, deadline);
+  }
+  template <JsonValue (*F)(JsonValue, const JsonValue&, const Deadline&,
+                           library::LatticeLibrary*)>
+  static JsonValue call(Impl& im, JsonValue body, const JsonValue& req,
+                        const Deadline& deadline) {
+    return F(std::move(body), req, deadline, im.lib.get());
+  }
+
   struct Executed {
-    std::string response;   ///< full response line (id spliced in)
-    std::string op = "?";   ///< "?" when the request never named one
-    std::string status;    ///< protocol outcome string
+    std::string response;        ///< full response line (id spliced in)
+    std::string_view op = "?";   ///< table name; "?" for no table entry
+    std::string_view status;     ///< protocol outcome string
     bool cache_hit = false;
     std::uint64_t key = 0;  ///< cache key; 0 for impure ops
-    /// True when the raw request line may enter the verbatim-line cache: a
-    /// pure op that succeeded and carried neither "id" nor "deadline_ms"
-    /// (so the full response equals the cacheable body byte for byte).
-    bool line_cacheable = false;
+  };
+
+  /// A parsed request that still needs its handler to run.
+  struct Prepared {
+    JsonValue req;
+    const Op* op = nullptr;  ///< null when "op" is absent or unknown
+    std::string name = "?";  ///< "op" as sent, echoed by error bodies
+    Deadline deadline;
+    std::uint64_t key = 0;  ///< memo key of a cacheable pure op, else 0
+    /// Neither "id" nor "deadline_ms": a successful response equals the
+    /// cacheable body byte for byte, so the raw line may enter the
+    /// verbatim-line cache.
+    bool plain = false;
   };
 
   /// Cache-core counters, surfaced by the `stats` op (relaxed atomics in
   /// the style of lattice::eval_counters). `memory_misses` counts sharded
-  /// in-memory lookups that missed (a computed request probes twice: once
-  /// on the submit fast path, once at execute).
+  /// in-memory lookups that missed; a request probes the memo at most once.
   struct CacheCounters {
     std::atomic<std::uint64_t> memory_hits{0};
     std::atomic<std::uint64_t> memory_misses{0};
@@ -831,70 +861,98 @@ struct Service::Impl {
     std::atomic<std::uint64_t> shard_contention{0};
   };
 
-  /// Runs one parsed request. Never throws.
-  Executed execute(const JsonValue& req, const Deadline& deadline) {
-    Executed out;
-    const JsonValue* id = req.find("id");
-    const bool plain =
-        id == nullptr && req.find("deadline_ms") == nullptr;
-    try {
-      out.op = require_string(req, "op");
-      std::uint64_t key = 0;
-      if (opts.cache && is_pure_op(out.op)) {
-        key = jobs::cache_key(out.op, jobs::fnv1a64(canonical_params(req)), {});
-        out.key = key;
-        if (std::optional<std::string> body = cache_load(out.op, key)) {
-          out.cache_hit = true;
-          out.status = "ok";
-          out.line_cacheable = plain;
-          out.response = splice_id(id, *body);
-          return out;
-        }
-      }
-      const std::string body = dispatch(out.op, req, deadline).dump();
-      if (key != 0) cache_store(out.op, key, body);
-      out.status = "ok";
-      out.line_cacheable = key != 0 && plain;
-      out.response = splice_id(id, body);
-    } catch (const DeadlineExceeded& e) {
-      out.status = "deadline_exceeded";
-      out.response = splice_id(id, make_error_body(out.op, out.status, e.what()));
-    } catch (const Error& e) {
-      out.status = "bad_request";
-      out.response = splice_id(id, make_error_body(out.op, out.status, e.what()));
-    } catch (const std::exception& e) {
-      out.status = "internal";
-      out.response = splice_id(id, make_error_body(out.op, out.status, e.what()));
+  /// First half of the one request path that handle_now and submit_async
+  /// share. Answers what needs no handler: a verbatim-line hit, a malformed
+  /// line, or a memo hit (with the at-dequeue deadline check, dequeue being
+  /// immediate). Everything else comes back prepared, its cache key
+  /// computed and the memo probed exactly once. `use_cache` false skips
+  /// both caches.
+  std::variant<Executed, Prepared> prepare(const std::string& line,
+                                           Clock::time_point t_start,
+                                           bool use_cache) {
+    // Verbatim-line fast path: an identical pure-op line answers with the
+    // exact previously computed bytes, skipping the JSON parse entirely.
+    if (use_cache) {
+      if (std::optional<Executed> hit = line_load(line)) return std::move(*hit);
     }
+    Prepared p;
+    try {
+      p.req = JsonValue::parse(line);
+      if (!p.req.is_object()) throw Error("request must be a JSON object");
+      p.name = p.req.string_or("op", "?");
+      p.op = find_op(p.name);
+      p.deadline = deadline_from(p.req, t_start);
+    } catch (const std::exception& e) {
+      return fail(p, "bad_request", e.what());
+    }
+    p.plain = p.req.find("id") == nullptr && p.req.find("deadline_ms") == nullptr;
+    if (use_cache && p.op != nullptr && p.op->pure) {
+      p.key = jobs::cache_key(p.name, jobs::fnv1a64(canonical_params(p.req)), {});
+      if (std::optional<std::string> body = cache_load(p.name, p.key)) {
+        if (p.deadline.expired()) return expired(p);
+        return succeed(line, p, *body, true);
+      }
+    }
+    return p;
+  }
+
+  /// Second half: runs a prepared request's handler and stores a pure
+  /// result in both caches. Never throws.
+  Executed run(const std::string& line, const Prepared& p) {
+    try {
+      if (p.op == nullptr) {
+        throw Error("unknown op '" + require_string(p.req, "op") +
+                    "' (expected " + op_list() + ")");
+      }
+      const std::string body =
+          p.op->handler(*this, body_for(p.op->name), p.req, p.deadline).dump();
+      if (p.key != 0) cache_store(p.name, p.key, body);
+      return succeed(line, p, body, false);
+    } catch (const DeadlineExceeded& e) {
+      return fail(p, "deadline_exceeded", e.what());
+    } catch (const Error& e) {
+      return fail(p, "bad_request", e.what());
+    } catch (const std::exception& e) {
+      return fail(p, "internal", e.what());
+    }
+  }
+
+  /// A successful answer carrying `body`; also enters the verbatim-line
+  /// cache when the request is plain and pure.
+  Executed succeed(const std::string& line, const Prepared& p,
+                   const std::string& body, bool cache_hit) {
+    Executed out{splice_id(p.req.find("id"), body), p.op->name, "ok",
+                 cache_hit, p.key};
+    if (p.key != 0 && p.plain) line_store(line, out);
     return out;
   }
 
-  JsonValue dispatch(const std::string& op, const JsonValue& req,
-                     const Deadline& deadline) {
-    if (op == "ping") return handle_ping(req, deadline);
-    if (op == "synth") return handle_synth(req, deadline, lib.get());
-    if (op == "synth_sat") return handle_synth_sat(req, deadline, lib.get());
-    if (op == "eval") return handle_eval(req, deadline);
-    if (op == "paths") return handle_paths(req, deadline);
-    if (op == "metrics") return handle_metrics(req, deadline);
-    if (op == "sweep_batch") return handle_sweep_batch(req, deadline);
-    if (op == "explore") return handle_explore(req, deadline, lib.get());
-    if (op == "lint") return handle_lint(req, deadline);
-    if (op == "sleep") return handle_sleep(req, deadline);
-    if (op == "stats") return handle_stats();
-    if (op == "shutdown") {
-      shutdown.store(true);
-      JsonValue body = body_for("shutdown");
-      body.set("draining", JsonValue::boolean(true));
-      return body;
-    }
-    throw Error("unknown op '" + op +
-                "' (expected ping, synth, synth_sat, eval, paths, metrics, "
-                "sweep_batch, explore, lint, stats, sleep, or shutdown)");
+  static Executed fail(const Prepared& p, std::string_view code,
+                       const std::string& message) {
+    return {splice_id(p.req.find("id"), make_error_body(p.name, code, message)),
+            p.op != nullptr ? p.op->name : "?", code, false, p.key};
   }
 
-  JsonValue handle_stats() {
-    JsonValue body = body_for("stats");
+  /// The answer of the at-dequeue deadline check.
+  static Executed expired(const Prepared& p) {
+    return fail(p, "deadline_exceeded", "deadline expired while queued");
+  }
+
+  /// Ends an admitted request. The callback runs before the in-flight
+  /// count drops, so drain() cannot return while a completion is still
+  /// being delivered; the condvar is notified while holding drain_m, so
+  /// drain()'s waiter cannot re-acquire it (and so cannot return and let
+  /// ~Impl destroy the condvar) until this thread is done signalling.
+  void complete(Executed& out, Clock::time_point t_submit,
+                const std::function<void(std::string&&)>& done) {
+    finish(out, t_submit);
+    done(std::move(out.response));
+    std::lock_guard<std::mutex> lock(drain_m);
+    inflight.fetch_sub(1);
+    drain_cv.notify_all();
+  }
+
+  JsonValue handle_stats(JsonValue body) {
     body.set("stats", stats.snapshot());
     JsonValue svc = JsonValue::object();
     svc.set("workers", JsonValue::number(static_cast<double>(opts.workers)));
@@ -1121,20 +1179,15 @@ struct Service::Impl {
   /// no "deadline_ms") answer without parsing JSON or hashing canonical
   /// parameters. Entries store the full line for an exact compare, so hash
   /// collisions and near-miss lines fall through to the canonical path.
-  struct LineHit {
-    std::string op;
-    std::string response;
-    std::uint64_t key;
-  };
-
-  std::optional<LineHit> line_load(const std::string& line) {
+  std::optional<Executed> line_load(const std::string& line) {
     const std::uint64_t h = jobs::fnv1a64(line);
     LineShard& shard = line_shards[shard_of(h)];
     auto lock = shard_lock(shard.m);
     const auto it = shard.map.find(h);
     if (it == shard.map.end() || it->second.line != line) return std::nullopt;
     cache_counters.line_hits.fetch_add(1, std::memory_order_relaxed);
-    return LineHit{it->second.op, it->second.response, it->second.key};
+    return Executed{it->second.response, it->second.op, "ok", true,
+                    it->second.key};
   }
 
   void line_store(const std::string& line, const Executed& done) {
@@ -1152,8 +1205,8 @@ struct Service::Impl {
     if (opts.access_log != nullptr) {
       jobs::Event ev;
       ev.type = "request";
-      ev.job = done.op;
-      ev.detail = done.status;
+      ev.job = std::string(done.op);
+      ev.detail = std::string(done.status);
       ev.t_ms = ms_between(t0, t_start);
       ev.wall_ms = wall_ms;
       ev.thread = thread_hash();
@@ -1175,7 +1228,7 @@ struct Service::Impl {
   };
   struct LineEntry {
     std::string line;
-    std::string op;
+    std::string_view op;  ///< an op table name
     std::string response;
     std::uint64_t key;
   };
@@ -1197,53 +1250,61 @@ struct Service::Impl {
   Clock::time_point t0;
 };
 
+// The op table. Its order is the order the unknown-op message lists.
+const Service::Impl::Op Service::Impl::kOps[] = {
+    {"ping", false, &call<handle_ping>},
+    {"synth", true, &call<handle_synth>},
+    {"synth_sat", true, &call<handle_synth_sat>},
+    {"eval", true, &call<handle_eval>},
+    {"paths", true, &call<handle_paths>},
+    {"metrics", true, &call<handle_metrics>},
+    {"sweep_batch", true, &call<handle_sweep_batch>},
+    {"explore", true, &call<handle_explore>},
+    {"lint", true, &call<handle_lint>},
+    {"stats", false,
+     [](Impl& im, JsonValue body, const JsonValue&, const Deadline&) {
+       return im.handle_stats(std::move(body));
+     }},
+    {"sleep", false, &call<handle_sleep>},
+    {"shutdown", false,
+     [](Impl& im, JsonValue body, const JsonValue&, const Deadline&) {
+       im.shutdown.store(true);
+       body.set("draining", JsonValue::boolean(true));
+       return body;
+     }},
+};
+
+const Service::Impl::Op* Service::Impl::find_op(std::string_view name) {
+  for (const Op& op : kOps) {
+    if (op.name == name) return &op;
+  }
+  return nullptr;
+}
+
+std::string Service::Impl::op_list() {
+  std::string list;
+  for (const Op& op : kOps) {
+    if (!list.empty()) list += &op == std::end(kOps) - 1 ? ", or " : ", ";
+    list += op.name;
+  }
+  return list;
+}
+
 Service::Service(ServiceOptions options) : impl_(new Impl(std::move(options))) {}
 
 Service::~Service() { drain(); }
 
 std::string Service::handle_now(const std::string& line) {
+  Impl& impl = *impl_;
   const Clock::time_point t_start = Clock::now();
-  // Verbatim-line fast path: an identical pure-op line answers with the
-  // exact previously computed bytes, skipping the JSON parse entirely.
-  if (impl_->opts.cache) {
-    if (std::optional<Impl::LineHit> hit = impl_->line_load(line)) {
-      Impl::Executed done;
-      done.response = std::move(hit->response);
-      done.op = std::move(hit->op);
-      done.status = "ok";
-      done.cache_hit = true;
-      done.key = hit->key;
-      impl_->finish(done, t_start);
-      return done.response;
-    }
+  std::variant<Impl::Executed, Impl::Prepared> step =
+      impl.prepare(line, t_start, impl.opts.cache);
+  if (const Impl::Prepared* p = std::get_if<Impl::Prepared>(&step)) {
+    step = impl.run(line, *p);
   }
-  JsonValue req;
-  try {
-    req = JsonValue::parse(line);
-    if (!req.is_object()) throw Error("request must be a JSON object");
-  } catch (const std::exception& e) {
-    Impl::Executed done;
-    done.response = make_error_body("?", "bad_request", e.what());
-    done.status = "bad_request";
-    impl_->finish(done, t_start);
-    return done.response;
-  }
-  Deadline deadline;
-  Impl::Executed done;
-  try {
-    deadline = deadline_from(req, t_start);
-  } catch (const Error& e) {
-    done.response = splice_id(
-        req.find("id"),
-        make_error_body(req.string_or("op", "?"), "bad_request", e.what()));
-    done.status = "bad_request";
-    impl_->finish(done, t_start);
-    return done.response;
-  }
-  done = impl_->execute(req, deadline);
-  if (impl_->opts.cache && done.line_cacheable) impl_->line_store(line, done);
-  impl_->finish(done, t_start);
-  return done.response;
+  Impl::Executed& done = std::get<Impl::Executed>(step);
+  impl.finish(done, t_start);
+  return std::move(done.response);
 }
 
 std::future<std::string> Service::submit(std::string line) {
@@ -1262,133 +1323,45 @@ void Service::submit_async(std::string line,
                            std::function<void(std::string&&)> done) {
   Impl& impl = *impl_;
   const Clock::time_point t_submit = Clock::now();
-
-  // Verbatim-line fast path (skipped while draining so the shutting_down
-  // contract holds): no parse, no admission, no pool hop.
-  if (impl.opts.cache && !impl.draining.load(std::memory_order_relaxed)) {
-    if (std::optional<Impl::LineHit> hit = impl.line_load(line)) {
-      Impl::Executed hot;
-      hot.response = std::move(hit->response);
-      hot.op = std::move(hit->op);
-      hot.status = "ok";
-      hot.cache_hit = true;
-      hot.key = hit->key;
-      impl.finish(hot, t_submit);
-      done(std::move(hot.response));
-      return;
-    }
-  }
-
-  // Parse on the caller so malformed input and rejections answer instantly
-  // and the deadline can be anchored at submission.
-  std::shared_ptr<JsonValue> req;
-  std::string op = "?";
-  const JsonValue* id = nullptr;
-  Deadline deadline;
-  try {
-    req = std::make_shared<JsonValue>(JsonValue::parse(line));
-    if (!req->is_object()) throw Error("request must be a JSON object");
-    op = req->string_or("op", "?");
-    id = req->find("id");
-    deadline = deadline_from(*req, t_submit);
-  } catch (const std::exception& e) {
-    Impl::Executed bad;
-    bad.response = splice_id(id, make_error_body(op, "bad_request", e.what()));
-    bad.op = op;
-    bad.status = "bad_request";
-    impl.finish(bad, t_submit);
-    done(std::move(bad.response));
+  // Parse on the caller so malformed input, rejections and cache hits
+  // answer instantly and the deadline is anchored at submission. Both
+  // caches are skipped while draining, so every well-formed line reaches
+  // admission and the shutting_down contract holds.
+  std::variant<Impl::Executed, Impl::Prepared> step = impl.prepare(
+      line, t_submit,
+      impl.opts.cache && !impl.draining.load(std::memory_order_relaxed));
+  if (Impl::Executed* now = std::get_if<Impl::Executed>(&step)) {
+    impl.finish(*now, t_submit);
+    done(std::move(now->response));
     return;
   }
-
-  // Canonically cached pure ops also answer synchronously: the hot path
-  // costs one sharded lookup and never contends for a worker. The deadline
-  // still gets its "at dequeue" check (dequeue is immediate here).
-  if (impl.opts.cache && !impl.draining.load(std::memory_order_relaxed) &&
-      is_pure_op(op)) {
-    const std::uint64_t key =
-        jobs::cache_key(op, jobs::fnv1a64(canonical_params(*req)), {});
-    if (std::optional<std::string> body = impl.cache_load(op, key)) {
-      Impl::Executed hot;
-      hot.op = op;
-      hot.key = key;
-      if (deadline.expired()) {
-        hot.status = "deadline_exceeded";
-        hot.response = splice_id(
-            id, make_error_body(op, hot.status, "deadline expired while queued"));
-      } else {
-        hot.status = "ok";
-        hot.cache_hit = true;
-        hot.line_cacheable =
-            id == nullptr && req->find("deadline_ms") == nullptr;
-        hot.response = splice_id(id, *body);
-        if (hot.line_cacheable) impl.line_store(line, hot);
-      }
-      impl.finish(hot, t_submit);
-      done(std::move(hot.response));
-      return;
-    }
-  }
+  Impl::Prepared& prepared = std::get<Impl::Prepared>(step);
 
   // Admission: count ourselves in-flight first so a drain that observes the
   // flag after our check also observes the increment and waits for us.
   impl.inflight.fetch_add(1);
   const std::size_t queued = impl.pending.fetch_add(1);
-  const auto reject = [&](const char* code, const char* message) {
+  const bool draining = impl.draining.load();
+  if (draining || queued >= impl.opts.queue_depth) {
     impl.pending.fetch_sub(1);
-    {
-      // Notify under the lock, same as the worker path: the condvar must
-      // not be signalled after drain() has been allowed to return.
-      std::lock_guard<std::mutex> lock(impl.drain_m);
-      impl.inflight.fetch_sub(1);
-      impl.drain_cv.notify_all();
-    }
-    Impl::Executed out;
-    out.response = splice_id(id, make_error_body(op, code, message));
-    out.op = op;
-    out.status = code;
-    impl.finish(out, t_submit);
-    done(std::move(out.response));
-  };
-  if (impl.draining.load()) {
-    reject("shutting_down", "service is draining; request not admitted");
-    return;
-  }
-  if (queued >= impl.opts.queue_depth) {
-    reject("overloaded", "admission queue is full; retry later");
+    Impl::Executed out =
+        draining ? Impl::fail(prepared, "shutting_down",
+                              "service is draining; request not admitted")
+                 : Impl::fail(prepared, "overloaded",
+                              "admission queue is full; retry later");
+    impl.complete(out, t_submit, done);
     return;
   }
 
-  impl.pool.submit([this, req = std::move(req), line = std::move(line),
-                    done = std::move(done), t_submit, deadline]() mutable {
+  impl.pool.submit([this, p = std::move(prepared), line = std::move(line),
+                    done = std::move(done), t_submit]() {
     Impl& im = *impl_;
     im.pending.fetch_sub(1);
-    Impl::Executed out;
     // Deadline check at dequeue: a request that waited out its budget in
     // the queue is answered without occupying the worker.
-    if (deadline.expired()) {
-      out.response = splice_id(req->find("id"),
-                               make_error_body(req->string_or("op", "?"),
-                                               "deadline_exceeded",
-                                               "deadline expired while queued"));
-      out.op = req->string_or("op", "?");
-      out.status = "deadline_exceeded";
-    } else {
-      out = im.execute(*req, deadline);
-      if (im.opts.cache && out.line_cacheable) im.line_store(line, out);
-    }
-    im.finish(out, t_submit);
-    // The callback runs before the in-flight count drops so drain() cannot
-    // return while a completion is still being delivered.
-    done(std::move(out.response));
-    {
-      // Notify while holding the lock: drain()'s waiter cannot re-acquire
-      // drain_m (and so cannot return and let ~Impl destroy the condvar)
-      // until this thread is fully done signalling.
-      std::lock_guard<std::mutex> lock(im.drain_m);
-      im.inflight.fetch_sub(1);
-      im.drain_cv.notify_all();
-    }
+    Impl::Executed out =
+        p.deadline.expired() ? Impl::expired(p) : im.run(line, p);
+    im.complete(out, t_submit, done);
   });
 }
 

@@ -12,16 +12,19 @@
 // plus bound_exceeded, an ok-shaped synth refusal when the exhaustive
 // candidate space outgrows its budget) and a human-readable "message".
 //
-// Ops: ping, synth, synth_sat, eval, paths, metrics, explore, lint, stats,
-// sleep, shutdown. The pure ops (synth, synth_sat, eval, paths, metrics,
-// explore, lint) are
-// deterministic functions of their parameters, so responses are cached
-// under jobs::cache_key content addresses — in memory always (a sharded
-// map, per-shard locks keyed by the cache-key prefix so hot answers never
-// contend on one mutex), and on disk when a cache_dir is configured (warm
-// across restarts). A verbatim-line fast path answers repeated identical
-// request lines (pure ops without "id"/"deadline_ms") without even parsing
-// the JSON; its responses are byte-identical to the computed ones.
+// Ops: ping, synth, synth_sat, eval, paths, metrics, sweep_batch, explore,
+// lint, stats, sleep, shutdown (one table in service.cpp names them). The
+// pure ops (synth, synth_sat, eval, paths, metrics, sweep_batch, explore,
+// lint) are deterministic functions of their parameters, so responses are
+// cached under jobs::cache_key content addresses — in memory always (a
+// sharded map, per-shard locks keyed by the cache-key prefix so hot answers
+// never contend on one mutex), and on disk when a cache_dir is configured
+// (warm across restarts). A verbatim-line fast path answers repeated
+// identical request lines (pure ops without "id"/"deadline_ms") without
+// even parsing the JSON; its responses are byte-identical to the computed
+// ones. handle_now and submit_async share one request path, so both answer
+// a line with the same bytes, and a request probes the memo at most once.
+// Requests whose "op" names no op count under "?" in stats.
 
 #include <cstddef>
 #include <functional>

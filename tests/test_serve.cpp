@@ -583,6 +583,78 @@ TEST(ServeProtocol, MalformedRequestsAreBadRequests) {
   EXPECT_DOUBLE_EQ(r.find("id")->as_number(), 42.0);
 }
 
+TEST(ServeProtocol, UnknownOpMessageListsEveryOpInTheTable) {
+  Service service({.workers = 1});
+  const JsonValue r = reply(service, R"({"op":"nope"})");
+  expect_error(r, "bad_request");
+  EXPECT_EQ(r.find("op")->as_string(), "nope");
+  const std::string message = r.find("message")->as_string();
+  EXPECT_EQ(message,
+            "unknown op 'nope' (expected ping, synth, synth_sat, eval, paths, "
+            "metrics, sweep_batch, explore, lint, stats, sleep, or shutdown)");
+  // Every op the message names dispatches to a handler.
+  for (const char* op : {"ping", "synth", "synth_sat", "eval", "paths",
+                         "metrics", "sweep_batch", "explore", "lint", "stats",
+                         "sleep", "shutdown"}) {
+    const std::string line = std::string(R"({"op":")") + op + "\"}";
+    const JsonValue answer = reply(service, line);
+    EXPECT_EQ(answer.find("op")->as_string(), op);
+    const JsonValue* m = answer.find("message");
+    if (m != nullptr) {
+      EXPECT_EQ(m->as_string().find("unknown op"), std::string::npos) << op;
+    }
+  }
+}
+
+// handle_now and submit() share one request path: fed the same lines in the
+// same order, two services answer every kind of request byte for byte alike
+// and end with the same cache counters.
+TEST(ServeProtocol, HandleNowAndSubmitAnswerByteIdentically) {
+  struct Case {
+    const char* line;
+    const char* error;  // nullptr: ok
+  };
+  const std::vector<Case> cases = {
+      {"this is not json", "bad_request"},
+      {"[1,2,3]", "bad_request"},
+      {R"({"op":"no_such_op","id":1})", "bad_request"},
+      {R"({"op":5,"id":2})", "bad_request"},
+      {R"({"op":5,"id":2,"deadline_ms":"soon"})", "bad_request"},
+      {R"({"op":"ping","id":3,"deadline_ms":1e400})", "bad_request"},
+      {R"({"op":"paths","rows":99,"cols":2,"id":4})", "bad_request"},
+      {R"({"op":"eval","expr":"a b + b c"})", nullptr},           // computed
+      {R"({"op":"eval","expr":"a b + b c","id":"m"})", nullptr},  // memo hit
+      {R"({"op":"eval","expr":"a b + b c"})", nullptr},           // line hit
+      // A memo hit past its deadline (1e-9 ms rounds to an instant budget).
+      {R"({"op":"eval","expr":"a b + b c","deadline_ms":1e-9})",
+       "deadline_exceeded"},
+  };
+  Service now_service({.workers = 1});
+  Service async_service({.workers = 1});
+  for (const Case& c : cases) {
+    const std::string now = now_service.handle_now(c.line);
+    const std::string async = async_service.submit(c.line).get();
+    EXPECT_EQ(now, async) << c.line;
+    const JsonValue r = JsonValue::parse(now);
+    if (c.error != nullptr) {
+      expect_error(r, c.error);
+    } else {
+      EXPECT_TRUE(r.bool_or("ok", false)) << now;
+    }
+  }
+  const auto cache_core = [](Service& service) {
+    return reply(service, R"({"op":"stats"})").find("cache_core")->dump();
+  };
+  const std::string counters = cache_core(now_service);
+  EXPECT_EQ(counters, cache_core(async_service));
+  const JsonValue cc = JsonValue::parse(counters);
+  // One probe per pure request that got past parsing: paths and the
+  // computed eval missed, the eval with an id and the expired one hit.
+  EXPECT_DOUBLE_EQ(cc.find("memory_misses")->as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(cc.find("memory_hits")->as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(cc.find("line_hits")->as_number(), 1.0);
+}
+
 // Seeds the double -> uint64 conversion cannot take exactly: negative,
 // fractional, past 2^53, or infinite (the JSON parser reads 1e400 as inf).
 void expect_seed_checked(const std::string& request_prefix) {
@@ -938,6 +1010,82 @@ TEST(ServeDeterminism, ConcurrentSubmissionsMatchSerialByteForByte) {
   }
 }
 
+// --- stats key set ---------------------------------------------------------
+
+std::vector<std::string> member_names(const JsonValue& object) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : object.members()) names.push_back(name);
+  return names;
+}
+
+// The block and key names README documents and the benchmark harness reads.
+TEST(ServeStats, StatsResponseKeySetIsPinned) {
+  Service service({.workers = 1});
+  reply(service, R"({"op":"ping"})");
+  const JsonValue r = reply(service, R"({"op":"stats"})");
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(member_names(r),
+            (Names{"op", "ok", "stats", "service", "eval_core", "cache_core",
+                   "sat_core", "spice_core", "batch_core", "library_core"}));
+  EXPECT_EQ(member_names(*r.find("stats")), (Names{"total", "ops"}));
+  const Names per_op = {"requests", "cache_hits", "cache_misses", "outcomes",
+                        "latency"};
+  EXPECT_EQ(member_names(*r.find("stats")->find("total")), per_op);
+  EXPECT_EQ(member_names(*r.find("stats")->find("ops")->find("ping")), per_op);
+  EXPECT_EQ(member_names(*r.find("stats")->find("total")->find("latency")),
+            (Names{"mean_us", "min_us", "max_us", "p50_us", "p95_us",
+                   "p99_us"}));
+  EXPECT_EQ(member_names(*r.find("service")),
+            (Names{"workers", "queue_depth_limit", "in_flight", "pending",
+                   "pool_queue", "pool_active", "draining"}));
+  EXPECT_EQ(member_names(*r.find("eval_core")),
+            (Names{"assignments", "blocks", "lut_hits", "lut_builds"}));
+  EXPECT_EQ(member_names(*r.find("cache_core")),
+            (Names{"memory_hits", "memory_misses", "line_hits", "disk_hits",
+                   "stores", "shard_contention", "shards"}));
+  EXPECT_EQ(member_names(*r.find("sat_core")),
+            (Names{"solves", "sat", "unsat", "conflicts", "decisions",
+                   "propagations", "restarts", "learned_clauses",
+                   "minimized_literals", "cegar_rounds", "proof_clauses",
+                   "proof_checks", "proof_failures", "proof_check_us"}));
+  EXPECT_EQ(member_names(*r.find("spice_core")),
+            (Names{"newton_iterations", "factors", "refactors",
+                   "dense_fallbacks", "dense_solves"}));
+  EXPECT_EQ(member_names(*r.find("batch_core")),
+            (Names{"batches", "lanes", "symbolic_factors", "symbolic_reuses",
+                   "numeric_refactors", "lane_fallbacks",
+                   "newton_iterations"}));
+  EXPECT_EQ(member_names(*r.find("library_core")),
+            (Names{"enabled", "classes", "entries", "lookups", "class_hits",
+                   "misses", "unapplies", "output_inversions",
+                   "verify_rejects", "populates", "improvements",
+                   "disk_loads", "disk_stores"}));
+}
+
+// The op string comes from outside the program: requests that name no op
+// in the table all count under "?", so stats stays bounded.
+TEST(ServeStats, UnknownOpsShareOneStatsKey) {
+  Service service({.workers = 1});
+  for (int i = 0; i < 1000; ++i) {
+    const std::string line =
+        R"({"op":"nope_)" + std::to_string(i) + R"(","id":)" +
+        std::to_string(i) + "}";
+    const std::string response =
+        i % 2 == 0 ? service.handle_now(line) : service.submit(line).get();
+    const JsonValue r = JsonValue::parse(response);
+    expect_error(r, "bad_request");
+    // The error body still names the op as sent.
+    EXPECT_EQ(r.find("op")->as_string(), "nope_" + std::to_string(i));
+  }
+  reply(service, R"({"id":1})");  // no op at all
+  reply(service, R"({"op":"ping"})");
+  const JsonValue ops = *reply(service, R"({"op":"stats"})")
+                             .find("stats")
+                             ->find("ops");
+  EXPECT_EQ(member_names(ops), (std::vector<std::string>{"?", "ping"}));
+  EXPECT_DOUBLE_EQ(ops.find("?")->find("requests")->as_number(), 1001.0);
+}
+
 // --- access log and the JSONL sink under contention -----------------------
 
 TEST(ServeAccessLog, EmitsOneWellFormedEventPerRequest) {
@@ -1091,6 +1239,7 @@ TEST(ServeTcp, OverlongLineGetsAnErrorThenClose) {
       client.call_line(R"({"op":"ping","pad":")" + std::string(1024, 'x') +
                        R"("})");
   expect_error(JsonValue::parse(r), "bad_request");
+  EXPECT_EQ(JsonValue::parse(r).string_or("op", ""), "?") << r;
   server.stop();
 }
 

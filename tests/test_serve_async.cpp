@@ -239,6 +239,22 @@ TEST(ServeCacheCounters, PerOpHitAndMissCountsInStats) {
   EXPECT_DOUBLE_EQ(eval->find("cache_hits")->as_number(), 2.0);
 }
 
+TEST(ServeCacheCounters, SubmittedMissProbesTheMemoOnce) {
+  Service service({.workers = 1});
+  const auto misses = [&service] {
+    const JsonValue r =
+        JsonValue::parse(service.handle_now(R"({"op":"stats"})"));
+    return r.find("cache_core")->find("memory_misses")->as_number();
+  };
+  const double before = misses();
+  const JsonValue r = JsonValue::parse(
+      service.submit(R"({"op":"eval","expr":"a b' + c"})").get());
+  EXPECT_TRUE(r.bool_or("ok", false)) << r.dump();
+  // The key is computed and the memo probed at admission only; the worker
+  // runs the handler without probing again.
+  EXPECT_DOUBLE_EQ(misses(), before + 1.0);
+}
+
 // --- consistent-hash ring -------------------------------------------------
 
 TEST(ServeHashRing, MappingIsDeterministicAndOrderIndependent) {

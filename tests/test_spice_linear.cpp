@@ -47,15 +47,19 @@ TEST(LinearDc, ResistorLadder) {
   c.add(std::make_unique<VoltageSource>("V1", c.node("n0"), Circuit::kGround,
                                         Waveform::dc(1.0)));
   for (int i = 0; i < 5; ++i) {
-    const std::string from = "n" + std::to_string(i);
-    const std::string to = (i == 4) ? "0" : "n" + std::to_string(i + 1);
-    c.add(std::make_unique<Resistor>("R" + std::to_string(i), c.node(from),
-                                     c.node(to), 1000.0));
+    // Named operands: GCC 12 reports a false -Wrestrict on "n" + a
+    // temporary std::string.
+    const std::string index = std::to_string(i);
+    const std::string next = std::to_string(i + 1);
+    const std::string from = "n" + index;
+    const std::string to = (i == 4) ? "0" : "n" + next;
+    c.add(std::make_unique<Resistor>("R" + index, c.node(from), c.node(to),
+                                     1000.0));
   }
   const OpResult op = dc_operating_point(c);
   for (int i = 1; i <= 4; ++i) {
-    EXPECT_NEAR(node_voltage(c, op, "n" + std::to_string(i)),
-                1.0 - 0.2 * i, 1e-9);
+    const std::string index = std::to_string(i);
+    EXPECT_NEAR(node_voltage(c, op, "n" + index), 1.0 - 0.2 * i, 1e-9);
   }
 }
 

@@ -3,7 +3,10 @@
 // transient step-halving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "ftl/spice/dcop.hpp"
 #include "ftl/spice/devices.hpp"
@@ -38,10 +41,14 @@ TEST(Rescue, LongPassGateLadderConverges) {
                                         Waveform::dc(5.0)));
   const int stages = 24;
   for (int i = 0; i < stages; ++i) {
-    const std::string d = "n" + std::to_string(i);
-    const std::string s = (i == stages - 1) ? "0" : "n" + std::to_string(i + 1);
-    c.add(std::make_unique<Mosfet>("M" + std::to_string(i), c.node(d),
-                                   c.node("g"), c.node(s), Circuit::kGround,
+    // Named operands: GCC 12 reports a false -Wrestrict on "n" + a
+    // temporary std::string.
+    const std::string index = std::to_string(i);
+    const std::string next = std::to_string(i + 1);
+    const std::string d = "n" + index;
+    const std::string s = (i == stages - 1) ? "0" : "n" + next;
+    c.add(std::make_unique<Mosfet>("M" + index, c.node(d), c.node("g"),
+                                   c.node(s), Circuit::kGround,
                                    sharp_device()));
   }
   const OpResult op = dc_operating_point(c);
@@ -49,58 +56,91 @@ TEST(Rescue, LongPassGateLadderConverges) {
   // The interior node voltages must be a monotone ladder from 5 V to 0.
   double prev = 5.0 + 1e-9;
   for (int i = 0; i < stages; ++i) {
+    const std::string index = std::to_string(i);
     const double v =
-        op.solution[static_cast<std::size_t>(c.find_node("n" + std::to_string(i)))];
+        op.solution[static_cast<std::size_t>(c.find_node("n" + index))];
     EXPECT_LE(v, prev + 1e-9) << i;
     EXPECT_GE(v, -1e-6);
     prev = v;
   }
 }
 
+// One stiff feedback cell on a `supply` rail: a weak pass device (kp 0.01,
+// gate on the rail) from node a to node out, a steep one (kp 100) from the
+// rail to a whose gate is out, and 100 ohm from out to ground. Plain Newton
+// from zero does not converge on it, so dc_operating_point must climb the
+// gmin / source-stepping ladder. `reversed` adds the devices in the
+// opposite order.
+std::unique_ptr<Circuit> stiff_feedback_cell(double supply,
+                                             bool reversed = false) {
+  const auto level1 = [](double kp) {
+    ftl::fit::Level1Params p = sharp_device();
+    p.kp = kp;
+    return p;
+  };
+  auto c = std::make_unique<Circuit>();
+  const int rail = c->node("vdd");
+  const int a = c->node("a");
+  const int out = c->node("out");
+  c->add(std::make_unique<VoltageSource>("VDD", rail, Circuit::kGround,
+                                         Waveform::dc(supply)));
+  std::vector<std::unique_ptr<Device>> devices;
+  devices.push_back(std::make_unique<Mosfet>("MA", a, rail, out,
+                                             Circuit::kGround, level1(0.01)));
+  devices.push_back(std::make_unique<Mosfet>("MB", a, out, rail,
+                                             Circuit::kGround, level1(100.0)));
+  devices.push_back(
+      std::make_unique<Resistor>("R", out, Circuit::kGround, 100.0));
+  if (reversed) std::reverse(devices.begin(), devices.end());
+  for (auto& d : devices) c->add(std::move(d));
+  return c;
+}
+
+bool plain_newton_converges(Circuit& c) {
+  const NewtonOptions options;
+  EvalContext ctx;
+  ctx.gmin = options.gmin;
+  return newton_solve(c, {}, ctx, options).converged;
+}
+
 TEST(Rescue, StiffFeedbackPairConverges) {
-  // Diode-connected stack with a huge-Kp device: plain Newton from zero
-  // overshoots; the clamp plus ladders must still land it.
-  Circuit c;
-  c.add(std::make_unique<VoltageSource>("VDD", c.node("vdd"), Circuit::kGround,
-                                        Waveform::dc(5.0)));
-  c.add(std::make_unique<Resistor>("R1", c.node("vdd"), c.node("a"), 100.0));
-  c.add(std::make_unique<Mosfet>("M1", c.node("a"), c.node("a"), c.node("b"),
-                                 Circuit::kGround, sharp_device()));
-  c.add(std::make_unique<Mosfet>("M2", c.node("b"), c.node("b"),
-                                 Circuit::kGround, Circuit::kGround,
-                                 sharp_device()));
-  const OpResult op = dc_operating_point(c);
+  // The steep device feeds back on the pass device's source: plain Newton
+  // from zero overshoots; the clamp plus ladders must still land it. The
+  // only consistent operating point carries no current (MB would conduct
+  // only with out above a + vth, MA only from a down to out), so both
+  // internal nodes sit at ground.
+  const double supply = 4.5;
+  ASSERT_FALSE(plain_newton_converges(*stiff_feedback_cell(supply)));
+  const std::unique_ptr<Circuit> c = stiff_feedback_cell(supply);
+  const OpResult op = dc_operating_point(*c);
   ASSERT_TRUE(op.converged);
-  const double va = op.solution[static_cast<std::size_t>(c.find_node("a"))];
-  const double vb = op.solution[static_cast<std::size_t>(c.find_node("b"))];
-  EXPECT_GT(va, vb);
-  EXPECT_GT(vb, 0.0);
-  EXPECT_LT(va, 5.0);
+  const double va = op.solution[static_cast<std::size_t>(c->find_node("a"))];
+  const double vout =
+      op.solution[static_cast<std::size_t>(c->find_node("out"))];
+  EXPECT_NEAR(op.solution[static_cast<std::size_t>(c->find_node("vdd"))],
+              supply, 1e-12);
+  EXPECT_NEAR(va, 0.0, 1e-9);
+  EXPECT_NEAR(vout, 0.0, 1e-9);
+  EXPECT_LT(va, supply);
 }
 
 TEST(Rescue, SourceSteppingIsOrderIndependentOfDeviceInsertion) {
   // The same circuit built in two different device orders must land on the
   // same operating point (the ladders must not depend on stamp order).
-  const auto build = [](bool reversed) {
-    auto c = std::make_unique<Circuit>();
-    c->add(std::make_unique<VoltageSource>("VDD", c->node("vdd"),
-                                           Circuit::kGround, Waveform::dc(3.0)));
-    std::vector<std::unique_ptr<Device>> devices;
-    devices.push_back(std::make_unique<Resistor>("R1", c->node("vdd"),
-                                                 c->node("x"), 1000.0));
-    devices.push_back(std::make_unique<Mosfet>("M1", c->node("x"), c->node("x"),
-                                               Circuit::kGround, Circuit::kGround,
-                                               sharp_device()));
-    if (reversed) std::swap(devices[0], devices[1]);
-    for (auto& d : devices) c->add(std::move(d));
-    return c;
-  };
-  auto c1 = build(false);
-  auto c2 = build(true);
+  for (const bool reversed : {false, true}) {
+    ASSERT_FALSE(plain_newton_converges(*stiff_feedback_cell(3.0, reversed)))
+        << "reversed=" << reversed;
+  }
+  auto c1 = stiff_feedback_cell(3.0, false);
+  auto c2 = stiff_feedback_cell(3.0, true);
   const OpResult op1 = dc_operating_point(*c1);
   const OpResult op2 = dc_operating_point(*c2);
-  EXPECT_NEAR(op1.solution[static_cast<std::size_t>(c1->find_node("x"))],
-              op2.solution[static_cast<std::size_t>(c2->find_node("x"))], 1e-6);
+  for (const char* node : {"a", "out"}) {
+    EXPECT_NEAR(op1.solution[static_cast<std::size_t>(c1->find_node(node))],
+                op2.solution[static_cast<std::size_t>(c2->find_node(node))],
+                1e-6)
+        << node;
+  }
 }
 
 TEST(Rescue, TransientStepHalvingSurvivesFastEdges) {
